@@ -49,6 +49,10 @@ _RESULT_KEYS = {"eta", "shape"}
 
 CSV_HEADER = "L_mm,mu,xi,eta"
 
+# Most crystal lengths one --L-range may ask for; larger grids are a
+# usage error, caught before the list is built.
+MAX_L_RANGE_POINTS = 100_000
+
 
 class UsageError(Exception):
     """Unusable command line or config file; maps to exit code 2."""
@@ -242,9 +246,17 @@ def _parse_l_range_mm(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"--L-range must be numeric, got {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"--L-range must be finite, got {text!r}")
     if lo <= 0.0 or step <= 0.0 or hi < lo:
         raise UsageError(f"--L-range is empty or invalid: {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    intervals = (hi - lo) / step + 1e-9  # may overflow to inf
+    # floor(intervals) + 1 lengths exceed the cap exactly when this holds
+    if intervals >= MAX_L_RANGE_POINTS:
+        raise UsageError(
+            f"--L-range {text!r} asks for more than {MAX_L_RANGE_POINTS} "
+            "lengths")
+    count = int(math.floor(intervals)) + 1
     return [lo + k * step for k in range(count)]
 
 

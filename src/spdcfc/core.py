@@ -20,6 +20,14 @@ waist.  The efficiency is
     eta = 4 (1+xi^2)/(2+xi^2)^2 * erf(sigma_c)/sigma_c
           * sqrt(sigma_1/erf(sigma_1) * sigma_2/erf(sigma_2))
 
+The error function is the standard library's ``math.erf``; only the
+ratio erf(sigma)/sigma switches to its Taylor series near sigma = 0.
+The arithmetic runs on plain floats in two private steps, shape
+(sigmas from L/r_p, xi and the crystal numbers) and efficiency (eta from
+xi and the sigmas), each checking its own results.  The public
+functions wrap them in the validated dataclasses; the sweeps call them
+directly on inputs validated once, so both give the same bits.
+
 All lengths are micrometres.  All functions are pure; the dataclasses
 are frozen and safe to share across threads.
 """
@@ -35,68 +43,20 @@ TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi)
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
 
-# Below this sigma the erf(sigma)/sigma ratio switches to its Taylor series.
+# Below this sigma the erf(sigma)/sigma ratio switches to its Taylor series:
+# the quotient is 0/0 at sigma = 0 and loses bits at subnormal sigma.
 EROS_SERIES_CUTOFF = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# error function: Maclaurin series for small arguments, Lentz-evaluated
-# continued fraction for the complement at large arguments
+# error function
 # ---------------------------------------------------------------------------
 
-def _erf_maclaurin(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1))
-    x2 = x * x
-    term = x
-    total = x
-    n = 0
-    while True:
-        n += 1
-        term *= -x2 / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) <= 1e-17 * abs(total) or n > 200:
-            return TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + (2/2)/(x + ...)))
-    # evaluated with the modified Lentz algorithm; converges fast for x >= 2.
-    tiny = 1e-300
-    f = x
-    c = f
-    d = 0.0
-    for n in range(1, 400):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) / f
-
-
 def erf(x: float) -> float:
-    """Error function with absolute error below 1e-13 on [-6, 6].
-
-    Series/continued-fraction hybrid: Maclaurin series up to |x| = 2.5,
-    complement via continued fraction beyond.
-    """
+    """Error function, ``math.erf`` with NaN rejected as a domain error."""
     if math.isnan(x):
         raise DomainError("erf argument is NaN")
-    if x < 0.0:
-        return -erf(-x)
-    if math.isinf(x):
-        return 1.0
-    if x < 2.5:
-        return _erf_maclaurin(x)
-    return 1.0 - _erfc_cf(x)
+    return math.erf(x)
 
 
 def erf_over_sigma(sigma: float) -> float:
@@ -109,7 +69,7 @@ def erf_over_sigma(sigma: float) -> float:
     if sigma < EROS_SERIES_CUTOFF:
         s2 = sigma * sigma
         return TWO_OVER_SQRT_PI * (1.0 - s2 / 3.0 + s2 * s2 / 10.0)
-    return erf(sigma) / sigma
+    return math.erf(sigma) / sigma
 
 
 def sigma_over_erf(sigma: float) -> float:
@@ -285,20 +245,44 @@ def magnification(f: float, d_bl: float) -> tuple[float, float]:
     return mu, d_al
 
 
+def _sigmas(ratio: float, xi: float,
+            ab: AlphaBeta) -> tuple[float, float, float]:
+    # (sigma_c, sigma1, sigma2) from L/r_p, xi and the crystal numbers
+    if not 0.0 < xi < math.inf:
+        raise DomainError(f"xi must be finite and > 0, got {xi}")
+    xi2 = xi * xi
+    sigma_c = ratio * math.sqrt(
+        ((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / (xi2 * (2.0 + xi2)))
+    sigma1 = ratio * math.sqrt(ab.alpha1 / (1.0 + xi2))
+    sigma2 = ratio * math.sqrt(ab.alpha2 / (1.0 + xi2))
+    # ratio >= 0 and the roots are >= 0, so only inf or NaN can get here
+    if not (sigma_c < math.inf and sigma1 < math.inf and sigma2 < math.inf):
+        raise DomainError(
+            f"sigmas must be finite, got sigma_c={sigma_c}, "
+            f"sigma1={sigma1}, sigma2={sigma2}")
+    return sigma_c, sigma1, sigma2
+
+
+def _eta(xi: float, sigma_c: float, sigma1: float, sigma2: float) -> float:
+    # the closed form on shape parameters that _sigmas has checked
+    xi2 = xi * xi
+    prefactor = 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
+    arms = math.sqrt(erf_over_sigma(sigma1) * erf_over_sigma(sigma2))
+    if arms == 0.0:
+        raise DomainError(
+            f"sigma1={sigma1}, sigma2={sigma2} too extreme to evaluate")
+    eta = prefactor * erf_over_sigma(sigma_c) / arms
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"eta must be in (0, 1], got {eta}")
+    return eta
+
+
 def shape_params(cfg: ExperimentConfig) -> ShapeParams:
     """Reduce an experiment configuration to its dimensionless shape."""
     ab = compute_alpha_beta(cfg.walkoffs)
-    ratio = cfg.crystal_length / cfg.pump_waist
     xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
-    xi2 = xi * xi
-    return ShapeParams(
-        xi=xi,
-        sigma_c=ratio * math.sqrt(
-            ((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / (xi2 * (2.0 + xi2))),
-        sigma1=ratio * math.sqrt(ab.alpha1 / (1.0 + xi2)),
-        sigma2=ratio * math.sqrt(ab.alpha2 / (1.0 + xi2)),
-        alpha_beta=ab,
-    )
+    return ShapeParams(xi, *_sigmas(cfg.crystal_length / cfg.pump_waist,
+                                    xi, ab), alpha_beta=ab)
 
 
 def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
@@ -309,14 +293,8 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
     length, where it equals the pure mode-matching prefactor
     4 (1+xi^2)/(2+xi^2)^2.
     """
-    xi2 = sp.xi * sp.xi
-    prefactor = 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
-    arms = math.sqrt(erf_over_sigma(sp.sigma1) * erf_over_sigma(sp.sigma2))
-    if arms == 0.0:
-        raise DomainError(
-            f"sigma1={sp.sigma1}, sigma2={sp.sigma2} too extreme to evaluate")
-    eta = prefactor * erf_over_sigma(sp.sigma_c) / arms
-    return EfficiencyResult(eta=eta, shape=sp)
+    return EfficiencyResult(
+        eta=_eta(sp.xi, sp.sigma_c, sp.sigma1, sp.sigma2), shape=sp)
 
 
 def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:

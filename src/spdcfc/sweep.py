@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import ExperimentConfig, WalkOffSet, efficiency
+from .core import (ExperimentConfig, WalkOffSet, _eta, _sigmas,
+                   compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,18 +84,20 @@ class OptResult:
 
 def efficiency_curve(spec: SweepSpec) -> SweepResult:
     """Tabulate eta over the grid, crystal-length major, then mu."""
+    fixed = spec.fixed
+    ab = compute_alpha_beta(fixed.walkoffs)
+    rp, w = fixed.pump_waist, fixed.fiber_mode_radius
     rows = []
     for length in spec.l_grid:
+        ratio = length / rp
         for mu in spec.mu_values:
-            cfg = replace(spec.fixed, crystal_length=length,
-                          inverse_magnification=mu)
+            xi = w * mu / rp
             try:
-                res = efficiency(cfg)
+                eta = _eta(xi, *_sigmas(ratio, xi, ab))
             except DomainError as exc:
                 raise DomainError(
                     f"row L={length} um, mu={mu}: {exc}") from exc
-            rows.append(SweepRow(length=length, mu=mu, xi=res.shape.xi,
-                                 eta=res.eta))
+            rows.append(SweepRow(length=length, mu=mu, xi=xi, eta=eta))
     return SweepResult(rows=tuple(rows))
 
 
@@ -124,9 +127,29 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     lo, hi = (float(b) for b in bounds)
     if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    # both ends must make a valid configuration; the points in between
+    # then only need the shape checks of the closed form
+    _with_variable(cfg, variable, lo)
+    _with_variable(cfg, variable, hi)
+    ab = compute_alpha_beta(cfg.walkoffs)
+    length, rp = cfg.crystal_length, cfg.pump_waist
+    w, mu = cfg.fiber_mode_radius, cfg.inverse_magnification
 
-    def eta_at(value: float) -> float:
-        return efficiency(_with_variable(cfg, variable, value)).eta
+    # each eta_at repeats the arithmetic of efficiency(_with_variable(...))
+    if variable == "mu":
+        def eta_at(value: float) -> float:
+            xi = w * value / rp
+            return _eta(xi, *_sigmas(length / rp, xi, ab))
+    elif variable == "rp":
+        def eta_at(value: float) -> float:
+            xi = w * mu / value
+            return _eta(xi, *_sigmas(length / value, xi, ab))
+    else:
+        def eta_at(value: float) -> float:
+            # through mu and back, as _with_variable and shape_params do
+            mu_of_xi = value * rp / w
+            xi = w * mu_of_xi / rp
+            return _eta(xi, *_sigmas(length / rp, xi, ab))
 
     n_grid = 64
     grid = [lo + (hi - lo) * k / (n_grid - 1) for k in range(n_grid)]

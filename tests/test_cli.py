@@ -207,6 +207,27 @@ def test_sweep_invalid_range_exits_2(capsys):
     assert "L-range" in err
 
 
+@pytest.mark.parametrize("l_range", ["0.1:inf:1", "nan:1:1", "0.1:5:nan",
+                                     "0.1:5:1e-9", "0.1:1e308:1e-300"])
+def test_sweep_unbounded_range_exits_2(l_range, capsys):
+    # each fails the finiteness or count check before any list is built
+    args = ["sweep", "--L-range", l_range, "--mu", "49", "--rp-um", "53",
+            "--w-um", "1.48", *WALKOFF_FLAGS]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "L-range" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_sweep_range_cap_counts_lengths():
+    from spdcfc.cli import MAX_L_RANGE_POINTS, UsageError, _parse_l_range_mm
+    assert len(_parse_l_range_mm(f"1:{MAX_L_RANGE_POINTS}:1")) == \
+        MAX_L_RANGE_POINTS
+    with pytest.raises(UsageError):
+        _parse_l_range_mm(f"1:{MAX_L_RANGE_POINTS + 1}:1")
+
+
 def test_sweep_rejects_bad_mu_lists(capsys):
     base = ["sweep", "--L-range", "1:2:1", "--rp-um", "53", "--w-um", "1.48",
             *WALKOFF_FLAGS]

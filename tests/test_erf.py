@@ -55,17 +55,6 @@ def test_erf_odd_and_limits():
     assert erf(37.0) == 1.0
 
 
-def test_erf_region_switch_continuous():
-    # the series and continued-fraction branches must agree at the seam
-    from spdcfc.core import _erf_maclaurin, _erfc_cf
-    assert abs(_erf_maclaurin(2.5) - (1.0 - _erfc_cf(2.5))) < 1e-14
-    # residual mismatch across the seam beyond the true slope 2eps*erf'(2.5)
-    eps = 1e-12
-    slope = TWO_OVER_SQRT_PI * math.exp(-2.5 ** 2)
-    jump = abs(erf(2.5 + eps) - erf(2.5 - eps))
-    assert jump - 2 * eps * slope < 1e-13
-
-
 def test_erf_rejects_nan():
     with pytest.raises(DomainError):
         erf(float("nan"))

@@ -1,5 +1,7 @@
 """Curve tabulation and scalar maximization."""
 
+from dataclasses import replace
+
 import pytest
 
 from spdcfc import (
@@ -59,6 +61,38 @@ def test_curve_error_annotated_with_row():
                      fixed=reference_config())
     with pytest.raises(DomainError, match=r"row L=1e\+308"):
         efficiency_curve(spec)
+
+
+def test_curve_rows_equal_efficiency_bit_for_bit():
+    # the sweep and efficiency() share one code path, so no rounding differs
+    fixed = reference_config()
+    # irregular mu values, so that any reordering of the arithmetic rounds
+    # differently somewhere on the grid
+    spec = SweepSpec(l_grid=(1.0, 500.0, 1000.0, 3000.0, 5000.0, 1e5),
+                     mu_values=tuple(0.5 + 3.37 * k for k in range(40)),
+                     fixed=fixed)
+    for row in efficiency_curve(spec).rows:
+        res = efficiency(replace(fixed, crystal_length=row.length,
+                                 inverse_magnification=row.mu))
+        assert row.eta == res.eta
+        assert row.xi == res.shape.xi
+
+
+@pytest.mark.parametrize("variable, bounds", [
+    ("mu", (3.6, 360.0)), ("rp", (10.0, 300.0)), ("xi", (0.1, 10.0))])
+def test_maximize_eta_max_equals_efficiency_at_argmax(variable, bounds):
+    for length in (1e-3, 500.0, 2000.0, 5000.0):
+        cfg = reference_config(length)
+        res = maximize_eta(cfg, variable, bounds)
+        probe = efficiency(_with_variable(cfg, variable, res.argmax))
+        assert res.eta_max == probe.eta
+
+
+def test_maximize_overflowing_bound_is_domain_error():
+    cfg = reference_config(2000.0)
+    # r_p/w is about 36, so xi = 1e307 needs mu = inf
+    with pytest.raises(DomainError):
+        maximize_eta(cfg, "xi", (0.1, 1e307))
 
 
 def test_maximize_reference_ceiling():
