@@ -251,8 +251,13 @@ def _sigmas(ratio: float, xi: float,
     if not 0.0 < xi < math.inf:
         raise DomainError(f"xi must be finite and > 0, got {xi}")
     xi2 = xi * xi
+    # 0 once xi*xi underflows, inf once it overflows; _eta's (2 + xi2)**2
+    # overflows exactly when this product does
+    denominator = xi2 * (2.0 + xi2)
+    if not 0.0 < denominator < math.inf:
+        raise DomainError(f"xi={xi} too extreme to evaluate")
     sigma_c = ratio * math.sqrt(
-        ((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / (xi2 * (2.0 + xi2)))
+        ((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / denominator)
     sigma1 = ratio * math.sqrt(ab.alpha1 / (1.0 + xi2))
     sigma2 = ratio * math.sqrt(ab.alpha2 / (1.0 + xi2))
     # ratio >= 0 and the roots are >= 0, so only inf or NaN can get here

@@ -25,14 +25,15 @@ Quadrature: Gauss-Legendre along the crystal (the emission window in
 depth is a hard box), wide trapezoid transversely.  The estimated
 relative error comes from doubling every grid.  Results are
 deterministic for a fixed QuadratureSpec (fixed summation order).
+
+numpy is imported inside the functions that integrate, so importing
+this module (and the package) does not load it; only a quadrature does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import ExperimentConfig, WalkOffSet
 from .errors import ConvergenceError, DomainError
@@ -105,6 +106,8 @@ def _drift_rates(w: WalkOffSet) -> tuple[float, float, float, float]:
 
 def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
                      extent_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     back_imaged = cfg.fiber_mode_radius * cfg.inverse_magnification
     half_width = extent_factor * max(back_imaged, cfg.pump_waist)
     x = np.linspace(-half_width, half_width, n_trans)
@@ -115,6 +118,8 @@ def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
 
 
 def _mode_1d(cfg: ExperimentConfig, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # unit-normalized 1-D fiber mode back-imaged onto the crystal plane
     radius = cfg.fiber_mode_radius * cfg.inverse_magnification
     return np.exp(-x * x / (2.0 * radius * radius)) / (
@@ -122,6 +127,8 @@ def _mode_1d(cfg: ExperimentConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _pump_1d(cfg: ExperimentConfig, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # pump normalization cancels in the ratio and is dropped
     return np.exp(-x * x / (2.0 * cfg.pump_waist * cfg.pump_waist))
 
@@ -150,6 +157,8 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
     if not 0.0 <= tau <= cfg.crystal_length:
         raise DomainError(
             f"tau must lie in [0, {cfg.crystal_length}], got {tau}")
+    import numpy as np
+
     x, tw = _transverse_grid(cfg, spec.n_trans, spec.extent_factor)
     return float(_pair_density_rows(cfg, np.array([tau]), x, tw)[0])
 
@@ -157,6 +166,8 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
 def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
                  extent_factor: float) -> tuple[float, float, float, float]:
     """One full quadrature pass; returns (eta, p12, p1, p2)."""
+    import numpy as np
+
     _, _, arm1, arm2 = _drift_rates(cfg.walkoffs)
     x, tw = _transverse_grid(cfg, n_trans, extent_factor)
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_tau)

@@ -518,6 +518,60 @@ def test_console_script_if_installed():
     assert "0.435079926" in proc.stdout
 
 
+EXTREME_XI_RUNS = [
+    ["optimize", "--var", "xi", "--bounds", "0.1:1e150", "--L-mm", "2",
+     "--rp-um", "53", *WALKOFF_FLAGS],
+    ["eval", "--L-mm", "2", "--rp-um", "53", "--w-um", "1e-170", "--mu", "1",
+     *WALKOFF_FLAGS],
+]
+
+
+@pytest.mark.parametrize("args", EXTREME_XI_RUNS, ids=["overflow", "underflow"])
+def test_extreme_xi_exits_1_without_traceback(args):
+    proc = subprocess.run([sys.executable, "-m", "spdcfc", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+NUMPY_FREE_RUNS = [
+    ["eval", "--L-mm", "3", *REFERENCE_FLAGS],
+    ["eval", "--L-mm", "3", *REFERENCE_FLAGS, "--format", "json"],
+    ["sweep", "--L-range", "1:3:1", "--mu", "25,49", "--rp-um", "53",
+     "--w-um", "1.48", *WALKOFF_FLAGS],
+    ["optimize", "--var", "xi", "--bounds", "0.1:10", "--L-mm", "3",
+     "--rp-um", "53", *WALKOFF_FLAGS],
+    ["params", "--sellmeier"],
+]
+
+# runs each argument list through main() in one fresh interpreter and
+# reports, after the import and after each run, whether numpy is loaded
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import spdcfc.cli
+report = {"import": "numpy" in sys.modules, "runs": []}
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = spdcfc.cli.main(args)
+    report["runs"].append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_numpy_is_loaded_by_the_oracle_only(capsys):
+    runs = [*NUMPY_FREE_RUNS, ["oracle", "--L-mm", "3", *REFERENCE_FLAGS]]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] is False
+    assert [loaded for _, _, loaded in report["runs"]] == [False] * 5 + [True]
+    for args, (code, out, _) in zip(runs, report["runs"]):
+        assert (code, out) == run_cli(args, capsys)[:2]
+
+
 def test_usage_error_prints_to_stderr_only(capsys):
     code, out, err = run_cli(["eval", "--L-mm", "3"], capsys)
     assert code == 2

@@ -297,6 +297,16 @@ def test_eta_strictly_decreasing_in_length_reference_params():
     assert all(b < a for a, b in zip(etas, etas[1:]))
 
 
+@pytest.mark.parametrize("fiber_mode_radius", [1e-170, 1e150])
+def test_efficiency_extreme_xi_is_domain_error(fiber_mode_radius):
+    # xi*xi underflows to 0 or xi**4 overflows to inf
+    cfg = replace(reference_config(2000.0),
+                  fiber_mode_radius=fiber_mode_radius,
+                  inverse_magnification=1.0)
+    with pytest.raises(DomainError, match="too extreme"):
+        efficiency(cfg)
+
+
 def test_efficiency_result_validation():
     sp = shape_params(reference_config(3000.0))
     with pytest.raises(DomainError):

@@ -95,6 +95,12 @@ def test_maximize_overflowing_bound_is_domain_error():
         maximize_eta(cfg, "xi", (0.1, 1e307))
 
 
+def test_maximize_extreme_xi_bound_is_domain_error():
+    # mu stays finite here, but xi**4 overflows inside the bracket
+    with pytest.raises(DomainError, match="too extreme"):
+        maximize_eta(reference_config(2000.0), "xi", (0.1, 1e150))
+
+
 def test_maximize_reference_ceiling():
     res = maximize_eta(reference_config(2000.0), "xi", (0.1, 10.0))
     assert res.eta_max == pytest.approx(0.489, abs=0.005)
