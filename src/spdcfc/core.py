@@ -271,7 +271,10 @@ def _sigmas(ratio: float, xi: float,
 def _eta(xi: float, sigma_c: float, sigma1: float, sigma2: float) -> float:
     # the closed form on shape parameters that _sigmas has checked
     xi2 = xi * xi
-    prefactor = 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
+    try:
+        prefactor = 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
+    except OverflowError:  # a hand-built ShapeParams skips _sigmas' check
+        raise DomainError(f"xi={xi} too extreme to evaluate") from None
     arms = math.sqrt(erf_over_sigma(sigma1) * erf_over_sigma(sigma2))
     if arms == 0.0:
         raise DomainError(

@@ -23,8 +23,12 @@ axis and one unshifted axis, both integrated on the same grid here.
 
 Quadrature: Gauss-Legendre along the crystal (the emission window in
 depth is a hard box), wide trapezoid transversely.  The estimated
-relative error comes from doubling every grid.  Results are
-deterministic for a fixed QuadratureSpec (fixed summation order).
+relative error comes from doubling every grid.  The Gauss-Legendre rule
+is built once per size and cached.  Each product of depth-shifted
+Gaussians takes one exponential over the grid, of its combined
+quadratic exponent; the unshifted factors and the trapezoid weights
+enter the row sums as one vector.  Results are deterministic for a
+fixed QuadratureSpec (fixed summation order).
 
 numpy is imported inside the functions that integrate, so importing
 this module (and the package) does not load it; only a quadrature does.
@@ -32,21 +36,27 @@ this module (and the package) does not load it; only a quadrature does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .core import ExperimentConfig, WalkOffSet
 from .errors import ConvergenceError, DomainError
 
-_QUARTER_POW_PI = math.pi ** 0.25
+# Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
+# rule (through a (4 n_tau)^2 matrix) and a (4 n_tau) x (4 n_trans) grid.
+MAX_N_TAU = 512
+MAX_GRID_POINTS = 2 ** 22  # elements of that grid, 32 MiB as float64
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Grid and tolerance controls for the numerical overlap integrals.
 
-    n_tau: Gauss-Legendre points along the crystal length.
-    n_trans: trapezoid points per transverse axis.
+    n_tau: Gauss-Legendre points along the crystal length, at most
+        MAX_N_TAU.
+    n_trans: trapezoid points per transverse axis; n_tau * n_trans is
+        at most MAX_GRID_POINTS / 16, the refinements' growth.
     extent_factor: transverse half-width in units of max(w*mu, r_p).
     target_rel_err: refinement goal for the estimated relative error.
     """
@@ -61,6 +71,12 @@ class QuadratureSpec:
             raise DomainError(f"n_tau must be >= 8, got {self.n_tau}")
         if self.n_trans < 16:
             raise DomainError(f"n_trans must be >= 16, got {self.n_trans}")
+        if (self.n_tau > MAX_N_TAU
+                or 16 * self.n_tau * self.n_trans > MAX_GRID_POINTS):
+            raise DomainError(
+                f"grid too large: n_tau={self.n_tau}, n_trans={self.n_trans} "
+                f"(n_tau <= {MAX_N_TAU}, n_tau * n_trans <= "
+                f"{MAX_GRID_POINTS // 16})")
         if self.extent_factor < 4.0:
             raise DomainError(
                 f"extent_factor must be >= 4, got {self.extent_factor}")
@@ -90,6 +106,18 @@ class OracleResult:
                 f"eta_numeric {self.eta_numeric} outside (0, 1 + est_rel_err]")
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # numpy's rule, built once per size and shared read-only; under
+    # MAX_N_TAU the cache holds at most 8 * 2 * 2048 floats
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _drift_rates(w: WalkOffSet) -> tuple[float, float, float, float]:
     """Transverse drift per unit birth depth, as vector magnitudes.
 
@@ -117,33 +145,50 @@ def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
     return x, weights
 
 
-def _mode_1d(cfg: ExperimentConfig, x: np.ndarray) -> np.ndarray:
+def _gauss_rows(taus: np.ndarray, x: np.ndarray, vec: np.ndarray,
+                coef: float, rate: float) -> np.ndarray:
+    """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau.
+
+    The oracle's one 2-D kernel, worked in place: a fresh 2-D temporary
+    per step costs more than its arithmetic.
+    """
     import numpy as np
 
-    # unit-normalized 1-D fiber mode back-imaged onto the crystal plane
+    rows = x - rate * taus[:, None]
+    rows *= rows
+    rows *= -coef
+    np.exp(rows, out=rows)
+    rows *= vec
+    return rows.sum(axis=1)
+
+
+def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
+    # mode(x) = exp(-a x^2) / sqrt(sqrt(pi) w mu), the unit-normalized fiber
+    # mode back-imaged onto the crystal plane, and pump(x) = exp(-b x^2),
+    # whose normalization cancels in the ratio; returns (a, b, mode norm^2)
     radius = cfg.fiber_mode_radius * cfg.inverse_magnification
-    return np.exp(-x * x / (2.0 * radius * radius)) / (
-        _QUARTER_POW_PI * math.sqrt(radius))
-
-
-def _pump_1d(cfg: ExperimentConfig, x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    # pump normalization cancels in the ratio and is dropped
-    return np.exp(-x * x / (2.0 * cfg.pump_waist * cfg.pump_waist))
+    return (0.5 / (radius * radius), 0.5 / (cfg.pump_waist * cfg.pump_waist),
+            1.0 / (math.sqrt(math.pi) * radius))
 
 
 def _pair_density_rows(cfg: ExperimentConfig, taus: np.ndarray,
                        x: np.ndarray, tw: np.ndarray) -> np.ndarray:
     """Pair overlap density at each birth depth (includes the idle axis)."""
+    import numpy as np
+
     pair_sep, pump_off2, _, _ = _drift_rates(cfg.walkoffs)
-    col = taus[:, None]
-    row = x[None, :]
-    # pump sits pump_off2/2 beyond the pair midpoint pair_sep/2
-    shifted = (_mode_1d(cfg, row) * _mode_1d(cfg, row - pair_sep * col)
-               * _pump_1d(cfg, row - 0.5 * (pair_sep + pump_off2) * col))
-    n_x = (shifted * tw[None, :]).sum(axis=1)
-    n_y = float((_mode_1d(cfg, x) ** 2 * _pump_1d(cfg, x) * tw).sum())
+    a, b, norm_sq = _exponent_coefs(cfg)
+    # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
+    # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
+    # exponent a (x - pair_sep tau)^2 + b (x - c tau)^2 is
+    # coef (x - rate tau)^2 + decay tau^2.
+    coef = a + b
+    rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
+    decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
+    mode_w = norm_sq * np.exp(-a * (x * x)) * tw
+    n_x = np.exp(-decay * (taus * taus)) * _gauss_rows(taus, x, mode_w,
+                                                        coef, rate)
+    n_y = float((mode_w * np.exp(-coef * (x * x))).sum())
     return n_x * n_y
 
 
@@ -170,21 +215,20 @@ def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
 
     _, _, arm1, arm2 = _drift_rates(cfg.walkoffs)
     x, tw = _transverse_grid(cfg, n_trans, extent_factor)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n_tau)
+    nodes, gl_weights = _gauss_legendre(n_tau)
     length = cfg.crystal_length
     taus = 0.5 * length * (nodes + 1.0)
     tau_w = 0.5 * length * gl_weights
 
     p12 = float((tau_w * _pair_density_rows(cfg, taus, x, tw) ** 2).sum())
 
-    mode_sq = _mode_1d(cfg, x) ** 2
-    idle = float((mode_sq * _pump_1d(cfg, x) ** 2 * tw).sum())
-    col = taus[:, None]
-    row = x[None, :]
+    # singles: mode(x)^2 pump(x - rate tau)^2, the pump squared as exp(-2b d^2)
+    a, b, norm_sq = _exponent_coefs(cfg)
+    mode_sq_w = norm_sq * np.exp(-2.0 * a * (x * x)) * tw
+    idle = float((mode_sq_w * np.exp(-2.0 * b * (x * x))).sum())
 
     def singles(rate: float) -> float:
-        rows = (mode_sq[None, :] * _pump_1d(cfg, row - rate * col) ** 2
-                * tw[None, :]).sum(axis=1)
+        rows = _gauss_rows(taus, x, mode_sq_w, 2.0 * b, rate)
         return float((tau_w * rows * idle).sum())
 
     p1 = singles(arm1)

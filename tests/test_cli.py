@@ -421,6 +421,14 @@ def test_oracle_rejects_bad_quadrature(capsys):
     assert run_cli(args, capsys)[0] == 1  # QuadratureSpec invariant violated
 
 
+def test_oracle_oversized_grid_is_domain_error(capsys):
+    for flags in (["--n-tau", "100000000"], ["--n-trans", "100000000"]):
+        code, out, err = run_cli(["oracle", "--L-mm", "3", *REFERENCE_FLAGS,
+                                  *flags], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: grid too large") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------
@@ -533,6 +541,25 @@ def test_extreme_xi_exits_1_without_traceback(args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # ~1.2 MB of CSV, far beyond a pipe's buffer, so the writer meets the
+    # closed pipe while it is still printing
+    args = ["sweep", "--L-range", "0.1:5:0.001", "--rp-um", "53",
+            "--w-um", "1.48", *WALKOFF_FLAGS]
+    proc = subprocess.Popen([sys.executable, "-m", "spdcfc", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        assert proc.stdout.readline().startswith("L_mm,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Error" not in err
 
 
 NUMPY_FREE_RUNS = [

@@ -307,6 +307,15 @@ def test_efficiency_extreme_xi_is_domain_error(fiber_mode_radius):
         efficiency(cfg)
 
 
+def test_eta_closed_form_hand_built_extreme_xi():
+    # a hand-built ShapeParams skips _sigmas: xi**4 overflowing is a
+    # DomainError there too, while xi*xi underflowing stays valid (eta 1)
+    ab = compute_alpha_beta(REFERENCE_WALKOFFS)
+    with pytest.raises(DomainError, match="too extreme"):
+        eta_closed_form(ShapeParams(1e150, 0.0, 0.0, 0.0, ab))
+    assert eta_closed_form(ShapeParams(1e-170, 0.0, 0.0, 0.0, ab)).eta == 1.0
+
+
 def test_efficiency_result_validation():
     sp = shape_params(reference_config(3000.0))
     with pytest.raises(DomainError):

@@ -15,7 +15,8 @@ from spdcfc import (
     pair_overlap_density,
 )
 from spdcfc.errors import ConvergenceError, DomainError
-from spdcfc.oracle import _eta_on_grid
+from spdcfc.oracle import (MAX_GRID_POINTS, MAX_N_TAU, _eta_on_grid,
+                           _gauss_legendre)
 
 from conftest import REFERENCE_WALKOFFS, reference_config
 
@@ -49,6 +50,17 @@ def test_quadrature_spec_validation():
         QuadratureSpec(target_rel_err=0.0)
 
 
+def test_quadrature_spec_grid_caps():
+    # a spec allocates nothing; none over the caps is integrated here
+    QuadratureSpec(n_tau=MAX_N_TAU,
+                   n_trans=MAX_GRID_POINTS // (16 * MAX_N_TAU))
+    for n_tau, n_trans in ((MAX_N_TAU + 1, 16), (10 ** 12, 96),
+                           (64, MAX_GRID_POINTS // (16 * 64) + 1),
+                           (8, 10 ** 12)):
+        with pytest.raises(DomainError, match="grid too large"):
+            QuadratureSpec(n_tau=n_tau, n_trans=n_trans)
+
+
 # ---------------------------------------------------------------------------
 # pair overlap density
 # ---------------------------------------------------------------------------
@@ -75,6 +87,46 @@ def test_density_decay_matches_gaussian_oracle():
     ratio = pair_overlap_density(cfg, 3000.0) / pair_overlap_density(cfg, 0.0)
     assert ratio < 1.0
     assert ratio == pytest.approx(0.002970545634, rel=1e-6)
+
+
+def brute_force_density(cfg: ExperimentConfig, tau: float,
+                        spec: QuadratureSpec) -> float:
+    # the three Gaussians multiplied point by point on the trapezoid grid
+    w = cfg.walkoffs
+    pair_sep = math.hypot(w.m, 2.0 * w.q_over_k)
+    pump_rate = 0.5 * (pair_sep + abs(2.0 * w.m_p - w.m))
+    radius = cfg.fiber_mode_radius * cfg.inverse_magnification
+    rp = cfg.pump_waist
+
+    def mode(x):
+        return (math.exp(-x * x / (2.0 * radius * radius))
+                / (math.pi ** 0.25 * math.sqrt(radius)))
+
+    def pump(x):
+        return math.exp(-x * x / (2.0 * rp * rp))
+
+    half = spec.extent_factor * max(radius, rp)
+    n = spec.n_trans
+    step = 2.0 * half / (n - 1)
+    n_x = n_y = 0.0
+    for i in range(n):
+        x = -half + i * step
+        weight = 0.5 * step if i in (0, n - 1) else step
+        n_x += weight * mode(x) * mode(x - pair_sep * tau) * pump(
+            x - pump_rate * tau)
+        n_y += weight * mode(x) * mode(x) * pump(x)
+    return n_x * n_y
+
+
+@pytest.mark.parametrize("xi", [0.2, 1.0, 5.0])
+def test_density_matches_brute_force_product(xi):
+    cfg = xi_config(3000.0, xi)
+    spec = QuadratureSpec()
+    for tau in (0.0, 40.0, 700.0, 3000.0):
+        expected = brute_force_density(cfg, tau, spec)
+        assert expected > 0.0
+        assert pair_overlap_density(cfg, tau, spec) == pytest.approx(
+            expected, rel=1e-13)
 
 
 def test_density_rejects_out_of_window_depth():
@@ -142,6 +194,27 @@ def test_deterministic_for_fixed_spec():
     second = eta_numeric(cfg)
     assert first.eta_numeric == second.eta_numeric
     assert first.pieces == second.pieces
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_gauss_legendre_is_numpys_rule_read_only(n):
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+
+
+def test_cold_and_warm_rule_cache_give_identical_results():
+    coarse = QuadratureSpec(n_tau=16, n_trans=32, extent_factor=4.0)
+    for cfg, spec in ((reference_config(3000.0), QuadratureSpec()),
+                      (hard_config(), coarse)):
+        _gauss_legendre.cache_clear()
+        cold = eta_numeric(cfg, spec)
+        assert _gauss_legendre.cache_info().misses > 0
+        assert cold == eta_numeric(cfg, spec)
 
 
 def test_refinement_estimate_decreases_with_grid_doubling():
