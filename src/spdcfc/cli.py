@@ -235,6 +235,8 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"{what} must be numeric, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"{what} must be finite, got {text!r}")
     return lo, hi
 
 
@@ -267,6 +269,8 @@ def _parse_mu_list(text: str) -> list[float]:
         raise UsageError(f"--mu must be a comma-separated list, got {text!r}") from exc
     if not values:
         raise UsageError("--mu list is empty")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"--mu values must be finite, got {text!r}")
     if any(v <= 0.0 for v in values):
         raise UsageError("--mu values must be > 0")
     if sorted(values) != values or len(set(values)) != len(values):
@@ -365,6 +369,12 @@ def _cmd_oracle(args) -> int:
     eta_closed = efficiency(cfg).eta
     try:
         oracle = eta_numeric(cfg, quad)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: the quadrature oracle needs numpy: {exc}",
+              file=sys.stderr)
+        return 1
     except ConvergenceError as exc:
         print(f"eta_closed    = {_fmt(eta_closed)}")
         print(f"eta_numeric   = {_fmt(exc.eta_fine)}   (unconverged)")

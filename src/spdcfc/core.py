@@ -22,11 +22,14 @@ waist.  The efficiency is
 
 The error function is the standard library's ``math.erf``; only the
 ratio erf(sigma)/sigma switches to its Taylor series near sigma = 0.
-The arithmetic runs on plain floats in two private steps, shape
-(sigmas from L/r_p, xi and the crystal numbers) and efficiency (eta from
-xi and the sigmas), each checking its own results.  The public
-functions wrap them in the validated dataclasses; the sweeps call them
-directly on inputs validated once, so both give the same bits.
+The arithmetic runs on plain floats in two private steps, split by what
+each part depends on.  The xi step turns xi and the crystal numbers
+into the prefactor 4 (1+xi^2)/(2+xi^2)^2 and three rates k, so that
+each sigma is (L/r_p) k.  The length step turns the prefactor and the
+three sigmas into eta.  Each step checks its own inputs and results.
+The public functions wrap them in the validated dataclasses; the sweeps
+run the xi step once per distinct xi and the length step once per
+point, on inputs validated once, so both give the same bits.
 
 All lengths are micrometres.  All functions are pure; the dataclasses
 are frozen and safe to share across threads.
@@ -66,6 +69,11 @@ def erf_over_sigma(sigma: float) -> float:
     """
     if math.isnan(sigma) or sigma < 0.0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
+    return _erf_over_sigma(sigma)
+
+
+def _erf_over_sigma(sigma: float) -> float:
+    # erf_over_sigma on a sigma already known to be >= 0 and not NaN
     if sigma < EROS_SERIES_CUTOFF:
         s2 = sigma * sigma
         return TWO_OVER_SQRT_PI * (1.0 - s2 / 3.0 + s2 * s2 / 10.0)
@@ -245,41 +253,45 @@ def magnification(f: float, d_bl: float) -> tuple[float, float]:
     return mu, d_al
 
 
-def _sigmas(ratio: float, xi: float,
-            ab: AlphaBeta) -> tuple[float, float, float]:
-    # (sigma_c, sigma1, sigma2) from L/r_p, xi and the crystal numbers
+def _prefactor(xi2: float) -> float:
+    # the mode-matching factor 4 (1+xi^2)/(2+xi^2)^2, from xi^2
+    return 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
+
+
+def _xi_terms(xi: float,
+              ab: AlphaBeta) -> tuple[float, float, float, float]:
+    # the xi step: (prefactor, kc, k1, k2), with sigma_x = (L/r_p) * k_x
     if not 0.0 < xi < math.inf:
         raise DomainError(f"xi must be finite and > 0, got {xi}")
     xi2 = xi * xi
-    # 0 once xi*xi underflows, inf once it overflows; _eta's (2 + xi2)**2
-    # overflows exactly when this product does
+    # 0 once xi*xi underflows, inf once it overflows; the prefactor's
+    # (2 + xi2)**2 overflows exactly when this product does
     denominator = xi2 * (2.0 + xi2)
     if not 0.0 < denominator < math.inf:
         raise DomainError(f"xi={xi} too extreme to evaluate")
-    sigma_c = ratio * math.sqrt(
-        ((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / denominator)
-    sigma1 = ratio * math.sqrt(ab.alpha1 / (1.0 + xi2))
-    sigma2 = ratio * math.sqrt(ab.alpha2 / (1.0 + xi2))
-    # ratio >= 0 and the roots are >= 0, so only inf or NaN can get here
+    return (_prefactor(xi2),
+            math.sqrt(((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / denominator),
+            math.sqrt(ab.alpha1 / (1.0 + xi2)),
+            math.sqrt(ab.alpha2 / (1.0 + xi2)))
+
+
+def _check_sigmas(sigma_c: float, sigma1: float, sigma2: float) -> None:
+    # L/r_p >= 0 and the rates are >= 0, so only inf or NaN can fail here
     if not (sigma_c < math.inf and sigma1 < math.inf and sigma2 < math.inf):
         raise DomainError(
             f"sigmas must be finite, got sigma_c={sigma_c}, "
             f"sigma1={sigma1}, sigma2={sigma2}")
-    return sigma_c, sigma1, sigma2
 
 
-def _eta(xi: float, sigma_c: float, sigma1: float, sigma2: float) -> float:
-    # the closed form on shape parameters that _sigmas has checked
-    xi2 = xi * xi
-    try:
-        prefactor = 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
-    except OverflowError:  # a hand-built ShapeParams skips _sigmas' check
-        raise DomainError(f"xi={xi} too extreme to evaluate") from None
-    arms = math.sqrt(erf_over_sigma(sigma1) * erf_over_sigma(sigma2))
+def _eta(prefactor: float, sigma_c: float, sigma1: float,
+         sigma2: float) -> float:
+    # the length step: eta from the xi step's prefactor and the sigmas
+    _check_sigmas(sigma_c, sigma1, sigma2)
+    arms = math.sqrt(_erf_over_sigma(sigma1) * _erf_over_sigma(sigma2))
     if arms == 0.0:
         raise DomainError(
             f"sigma1={sigma1}, sigma2={sigma2} too extreme to evaluate")
-    eta = prefactor * erf_over_sigma(sigma_c) / arms
+    eta = prefactor * _erf_over_sigma(sigma_c) / arms
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta}")
     return eta
@@ -289,8 +301,11 @@ def shape_params(cfg: ExperimentConfig) -> ShapeParams:
     """Reduce an experiment configuration to its dimensionless shape."""
     ab = compute_alpha_beta(cfg.walkoffs)
     xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
-    return ShapeParams(xi, *_sigmas(cfg.crystal_length / cfg.pump_waist,
-                                    xi, ab), alpha_beta=ab)
+    _, kc, k1, k2 = _xi_terms(xi, ab)
+    ratio = cfg.crystal_length / cfg.pump_waist
+    sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
+    _check_sigmas(sigma_c, sigma1, sigma2)
+    return ShapeParams(xi, sigma_c, sigma1, sigma2, alpha_beta=ab)
 
 
 def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
@@ -301,8 +316,14 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
     length, where it equals the pure mode-matching prefactor
     4 (1+xi^2)/(2+xi^2)^2.
     """
+    # a hand-built ShapeParams skips the xi step: xi*xi underflowing gives
+    # the xi -> 0 limit, and only xi**4 overflowing is out of reach
+    try:
+        prefactor = _prefactor(sp.xi * sp.xi)
+    except OverflowError:
+        raise DomainError(f"xi={sp.xi} too extreme to evaluate") from None
     return EfficiencyResult(
-        eta=_eta(sp.xi, sp.sigma_c, sp.sigma1, sp.sigma2), shape=sp)
+        eta=_eta(prefactor, sp.sigma_c, sp.sigma1, sp.sigma2), shape=sp)
 
 
 def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (ExperimentConfig, WalkOffSet, _eta, _sigmas,
-                   compute_alpha_beta)
+from .core import (AlphaBeta, ExperimentConfig, WalkOffSet, _eta,
+                   _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_N_PRESCAN = 64
 
 # Magnifications for the default reproduction sweep.  Only mu = 49 is
 # anchored to a measured design point; the rest are illustrative.
@@ -82,22 +83,37 @@ class OptResult:
             raise DomainError(f"eta_max must be in (0, 1], got {self.eta_max}")
 
 
+def _row_error(length: float, mu: float, exc: DomainError) -> DomainError:
+    return DomainError(f"row L={length} um, mu={mu}: {exc}")
+
+
 def efficiency_curve(spec: SweepSpec) -> SweepResult:
     """Tabulate eta over the grid, crystal-length major, then mu."""
     fixed = spec.fixed
     ab = compute_alpha_beta(fixed.walkoffs)
     rp, w = fixed.pump_waist, fixed.fiber_mode_radius
+    # the xi step once per mu; a mu whose xi fails fails at every length,
+    # so its first row, at the first length, is where it is raised
+    columns, failed = [], None
+    for mu in spec.mu_values:
+        xi = w * mu / rp
+        try:
+            columns.append((mu, xi, *_xi_terms(xi, ab)))
+        except DomainError as exc:
+            failed = mu, exc
+            break
     rows = []
     for length in spec.l_grid:
         ratio = length / rp
-        for mu in spec.mu_values:
-            xi = w * mu / rp
+        for mu, xi, prefactor, kc, k1, k2 in columns:
             try:
-                eta = _eta(xi, *_sigmas(ratio, xi, ab))
+                eta = _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
             except DomainError as exc:
-                raise DomainError(
-                    f"row L={length} um, mu={mu}: {exc}") from exc
-            rows.append(SweepRow(length=length, mu=mu, xi=xi, eta=eta))
+                raise _row_error(length, mu, exc) from exc
+            rows.append(SweepRow(length, mu, xi, eta))
+        if failed:
+            mu, exc = failed
+            raise _row_error(length, mu, exc) from exc
     return SweepResult(rows=tuple(rows))
 
 
@@ -114,49 +130,30 @@ def _with_variable(cfg: ExperimentConfig, variable: str,
     raise DomainError(f"variable must be one of {VARIABLES}, got {variable!r}")
 
 
-def maximize_eta(cfg: ExperimentConfig, variable: str,
-                 bounds: tuple[float, float],
-                 rel_tol: float = 1e-6) -> OptResult:
-    """Maximize eta over one design variable on the given bounds.
+def _prescan_grid(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * k / (_N_PRESCAN - 1) for k in range(_N_PRESCAN)]
 
-    A 64-point grid pre-scan locates the best cell (no global
-    unimodality is assumed), then golden-section refines it until the
-    bracket shrinks below rel_tol relative to the variable.  The
-    returned maximum is never below the best pre-scan point.
-    """
-    lo, hi = (float(b) for b in bounds)
-    if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    # both ends must make a valid configuration; the points in between
-    # then only need the shape checks of the closed form
-    _with_variable(cfg, variable, lo)
-    _with_variable(cfg, variable, hi)
-    ab = compute_alpha_beta(cfg.walkoffs)
-    length, rp = cfg.crystal_length, cfg.pump_waist
-    w, mu = cfg.fiber_mode_radius, cfg.inverse_magnification
 
-    # each eta_at repeats the arithmetic of efficiency(_with_variable(...))
-    if variable == "mu":
-        def eta_at(value: float) -> float:
-            xi = w * value / rp
-            return _eta(xi, *_sigmas(length / rp, xi, ab))
-    elif variable == "rp":
-        def eta_at(value: float) -> float:
-            xi = w * mu / value
-            return _eta(xi, *_sigmas(length / value, xi, ab))
-    else:
-        def eta_at(value: float) -> float:
-            # through mu and back, as _with_variable and shape_params do
-            mu_of_xi = value * rp / w
-            xi = w * mu_of_xi / rp
-            return _eta(xi, *_sigmas(length / rp, xi, ab))
+def _xi_of(value: float, rp: float, w: float) -> float:
+    # through mu and back, as _with_variable and shape_params do
+    return w * (value * rp / w) / rp
 
-    n_grid = 64
-    grid = [lo + (hi - lo) * k / (n_grid - 1) for k in range(n_grid)]
-    grid_etas = [eta_at(v) for v in grid]
-    best = max(range(n_grid), key=grid_etas.__getitem__)
+
+def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
+    ratio = length / rp
+
+    def eta_at(value: float) -> float:
+        prefactor, kc, k1, k2 = _xi_terms(_xi_of(value, rp, w), ab)
+        return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+    return eta_at
+
+
+def _refine(variable: str, eta_at, lo: float, hi: float, grid: list[float],
+            grid_etas: list[float], rel_tol: float) -> OptResult:
+    # golden section around the best pre-scan point of grid on [lo, hi]
+    best = max(range(_N_PRESCAN), key=grid_etas.__getitem__)
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, n_grid - 1)]
+    b = grid[min(best + 1, _N_PRESCAN - 1)]
     bracket = (a, b)
 
     x1 = b - _INV_PHI * (b - a)
@@ -185,21 +182,74 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
                      boundary=(argmax - lo) < edge or (hi - argmax) < edge)
 
 
+def maximize_eta(cfg: ExperimentConfig, variable: str,
+                 bounds: tuple[float, float],
+                 rel_tol: float = 1e-6) -> OptResult:
+    """Maximize eta over one design variable on the given bounds.
+
+    A 64-point grid pre-scan locates the best cell (no global
+    unimodality is assumed), then golden-section refines it until the
+    bracket shrinks below rel_tol relative to the variable.  The
+    returned maximum is never below the best pre-scan point.
+    """
+    lo, hi = (float(b) for b in bounds)
+    if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    # both ends must make a valid configuration; the points in between
+    # then only need the shape checks of the closed form
+    _with_variable(cfg, variable, lo)
+    _with_variable(cfg, variable, hi)
+    ab = compute_alpha_beta(cfg.walkoffs)
+    length, rp = cfg.crystal_length, cfg.pump_waist
+    w, mu = cfg.fiber_mode_radius, cfg.inverse_magnification
+
+    # each eta_at repeats the arithmetic of efficiency(_with_variable(...))
+    if variable == "mu":
+        ratio = length / rp
+
+        def eta_at(value: float) -> float:
+            prefactor, kc, k1, k2 = _xi_terms(w * value / rp, ab)
+            return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+    elif variable == "rp":
+        def eta_at(value: float) -> float:
+            ratio = length / value
+            prefactor, kc, k1, k2 = _xi_terms(w * mu / value, ab)
+            return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+    else:
+        eta_at = _eta_of_xi(length, rp, w, ab)
+
+    grid = _prescan_grid(lo, hi)
+    return _refine(variable, eta_at, lo, hi, grid, [eta_at(v) for v in grid],
+                   rel_tol)
+
+
 def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
                  l_grid) -> tuple[tuple[float, float], ...]:
     """Best achievable eta per crystal length, maximized over xi.
 
     Returns (L, eta_max) pairs for xi swept on [0.1, 10] at the given
     pump waist; the fiber radius and magnification drop out of the
-    optimum since only their product matters.
+    optimum since only their product matters.  Each length gives what
+    maximize_eta gives on the template w = mu = 1; the xi of its 64
+    pre-scan points do not depend on the length, so their xi step runs
+    once and is shared across lengths.
     """
     grid = _validated_grid("l_grid", l_grid)
+    lo, hi = 0.1, 10.0
+    # pump_waist, walkoffs and the xi bounds are checked as maximize_eta
+    # checks them, once: no check depends on the length
+    template = ExperimentConfig(grid[0], pump_waist, 1.0, 1.0, walkoffs)
+    _with_variable(template, "xi", lo)
+    _with_variable(template, "xi", hi)
+    ab = compute_alpha_beta(walkoffs)
+    xi_grid = _prescan_grid(lo, hi)
+    terms = [_xi_terms(_xi_of(v, pump_waist, 1.0), ab) for v in xi_grid]
     out = []
     for length in grid:
-        template = ExperimentConfig(
-            crystal_length=length, pump_waist=pump_waist,
-            fiber_mode_radius=1.0, inverse_magnification=1.0,
-            walkoffs=walkoffs)
-        res = maximize_eta(template, "xi", (0.1, 10.0))
+        ratio = length / pump_waist
+        grid_etas = [_eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+                     for prefactor, kc, k1, k2 in terms]
+        res = _refine("xi", _eta_of_xi(length, pump_waist, 1.0, ab), lo, hi,
+                      xi_grid, grid_etas, 1e-6)
         out.append((length, res.eta_max))
     return tuple(out)

@@ -604,3 +604,50 @@ def test_usage_error_prints_to_stderr_only(capsys):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--L-range", "1:2:1", "--mu", "1,inf", "--rp-um", "53",
+     "--w-um", "1.48", *WALKOFF_FLAGS],
+    ["sweep", "--L-range", "1:2:1", "--mu", "nan", "--rp-um", "53",
+     "--w-um", "1.48", *WALKOFF_FLAGS],
+    ["optimize", "--var", "xi", "--bounds", "nan:1", "--L-mm", "2",
+     "--rp-um", "53", *WALKOFF_FLAGS],
+    ["optimize", "--var", "mu", "--bounds", "0.1:inf", "--L-mm", "2",
+     "--rp-um", "53", "--w-um", "1.48", *WALKOFF_FLAGS],
+], ids=["mu-inf", "mu-nan", "bounds-nan", "bounds-inf"])
+def test_nonfinite_mu_and_bounds_exit_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "finite" in err
+
+
+# runs main() with numpy blocked, as an interpreter without numpy would
+NUMPY_BLOCKED_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import spdcfc.cli
+runs = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = spdcfc.cli.main(args)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_oracle_without_numpy_exits_1_with_one_error_line(capsys):
+    runs = [["oracle", "--L-mm", "3", *REFERENCE_FLAGS], *NUMPY_FREE_RUNS]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED_PROBE, json.dumps(runs)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    (code, out, err), *others = json.loads(proc.stdout)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the quadrature oracle needs numpy")
+    assert err.count("\n") == 1
+    # the other subcommands do not need numpy
+    for args, (code, out, _) in zip(NUMPY_FREE_RUNS, others):
+        assert (code, out) == run_cli(args, capsys)[:2]

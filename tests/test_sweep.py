@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from spdcfc import (
+    ExperimentConfig,
     SweepSpec,
+    WalkOffSet,
     ceiling_scan,
     efficiency,
     efficiency_curve,
@@ -171,3 +173,69 @@ def test_ceiling_scan_non_increasing():
 def test_ceiling_scan_validates_grid():
     with pytest.raises(DomainError):
         ceiling_scan(53.0, REFERENCE_WALKOFFS, [])
+
+
+CEILING_WALKOFFS = [
+    REFERENCE_WALKOFFS,
+    WalkOffSet(m_p=0.05, m=0.09, q_over_k=0.0),
+    WalkOffSet(m_p=0.12, m=0.01, q_over_k=0.07),
+]
+
+
+@pytest.mark.parametrize("walkoffs", CEILING_WALKOFFS,
+                         ids=["reference", "no-cone", "wide"])
+def test_ceiling_scan_equals_maximize_eta_bit_for_bit(walkoffs):
+    # the shared xi pre-scan must give what a per-length maximize_eta gives;
+    # the short lengths put the maximum on the xi = 0.1 pre-scan point,
+    # whose last bits at the last three pump waists come from the mu
+    # round trip
+    lengths = [0.0646, 0.227, 0.7, 1.508, 333.3, 1234.5, 2718.28, 9999.0,
+               31415.9, 2e5]
+    for pump_waist in (17.3, 53.0, 211.0, 41.73563363613645,
+                       51.513003186720276, 88.54074837137509):
+        for length, eta_max in ceiling_scan(pump_waist, walkoffs, lengths):
+            cfg = ExperimentConfig(length, pump_waist, 1.0, 1.0, walkoffs)
+            assert eta_max == maximize_eta(cfg, "xi", (0.1, 10.0)).eta_max
+
+
+@pytest.mark.parametrize("pump_waist", [5e-324, 1e308],
+                         ids=["lower-bound-underflow", "upper-bound-overflow"])
+def test_ceiling_scan_bad_xi_bound_is_maximize_etas_error(pump_waist):
+    # mu = xi * r_p / w is 0 or inf at one of the bounds
+    cfg = ExperimentConfig(1000.0, pump_waist, 1.0, 1.0, REFERENCE_WALKOFFS)
+    with pytest.raises(DomainError) as expected:
+        maximize_eta(cfg, "xi", (0.1, 10.0))
+    with pytest.raises(DomainError) as got:
+        ceiling_scan(pump_waist, REFERENCE_WALKOFFS, [1000.0, 2000.0])
+    assert str(got.value) == str(expected.value)
+    assert "inverse_magnification" in str(got.value)
+
+
+def first_row_error(spec):
+    # the message efficiency() gives for the first failing row, L-major
+    for length in spec.l_grid:
+        for mu in spec.mu_values:
+            try:
+                efficiency(replace(spec.fixed, crystal_length=length,
+                                   inverse_magnification=mu))
+            except DomainError as exc:
+                return f"row L={length} um, mu={mu}: {exc}"
+    return None
+
+
+# r_p = w = 0.01 um makes xi = mu and L/r_p = inf at L = 1e308, so that
+# row's sigmas overflow; mu = 1e150 and 1e-170 are xi beyond evaluation
+@pytest.mark.parametrize("l_grid, mu_values, expected", [
+    ((1e308,), (1.0, 1e150), "mu=1.0: sigmas must be finite"),
+    ((1e308,), (1e-170, 1.0), "mu=1e-170: xi=1e-170 too extreme"),
+    ((1.0, 1e308), (1.0, 1e150), "L=1.0 um, mu=1e+150: xi=1e+150 too"),
+    ((1e308,), (1.0, 2.0, 1e150), "mu=1.0: sigmas must be finite"),
+], ids=["sigma-first", "xi-first", "xi-at-first-length", "sigma-then-xi"])
+def test_curve_raises_first_failing_row_in_l_major_order(l_grid, mu_values,
+                                                          expected):
+    fixed = ExperimentConfig(1.0, 0.01, 0.01, 1.0, REFERENCE_WALKOFFS)
+    spec = SweepSpec(l_grid=l_grid, mu_values=mu_values, fixed=fixed)
+    with pytest.raises(DomainError) as got:
+        efficiency_curve(spec)
+    assert str(got.value) == first_row_error(spec)
+    assert expected in str(got.value)
