@@ -16,7 +16,11 @@ import math
 import os
 import sys
 
+# dispersion, oracle and sweep are imported by the commands that use
+# them, so a command loads only the modules it runs
 from .core import (
+    DEFAULT_CUT_ANGLE_DEG,
+    VARIABLES,
     ExperimentConfig,
     WalkOffSet,
     compute_alpha_beta,
@@ -24,18 +28,7 @@ from .core import (
     magnification,
     mode_field_radius,
 )
-from .dispersion import (
-    DEFAULT_CUT_ANGLE_DEG,
-    IndexModel,
-    PhaseMatchGeometry,
-    build_walkoff_set,
-    bundled_bbo,
-    group_delay_params,
-    load_index_model,
-)
 from .errors import ConvergenceError, DomainError
-from .oracle import QuadratureSpec, eta_numeric
-from .sweep import SweepSpec, VARIABLES, efficiency_curve, maximize_eta
 
 SELLMEIER_PATH_ENV = "SPDCFC_SELLMEIER_PATH"
 
@@ -104,6 +97,8 @@ def _load_config_doc(path: str) -> dict:
 
 
 def _load_model(flag_value: str) -> IndexModel:
+    from .dispersion import bundled_bbo, load_index_model
+
     path = flag_value or os.environ.get(SELLMEIER_PATH_ENV, "")
     try:
         if path:
@@ -118,6 +113,8 @@ def _load_model(flag_value: str) -> IndexModel:
 
 
 def _geometry(args) -> PhaseMatchGeometry:
+    from .dispersion import PhaseMatchGeometry
+
     return PhaseMatchGeometry.degenerate(
         pump_wavelength=args.pump_nm * 1e-3,
         cut_angle=math.radians(args.cut_angle_deg),
@@ -133,6 +130,8 @@ def _resolve_walkoffs(args, doc: dict) -> WalkOffSet:
             raise UsageError("provide all of --Mp, --M and --QK together")
         return WalkOffSet(m_p=args.Mp, m=args.M, q_over_k=args.QK)
     if args.sellmeier is not None:
+        from .dispersion import build_walkoff_set
+
         return build_walkoff_set(_load_model(args.sellmeier), _geometry(args))
     if "walkoffs" in doc:
         w = doc["walkoffs"]
@@ -200,6 +199,8 @@ def _resolve_experiment(args, doc: dict, *,
 
 
 def _resolve_quadrature(args, doc: dict) -> QuadratureSpec:
+    from .oracle import QuadratureSpec
+
     qdoc = doc.get("quadrature", {})
     defaults = QuadratureSpec()
 
@@ -312,6 +313,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, efficiency_curve
+
     doc = _load_config_doc(args.config) if args.config else {}
     l_grid_mm = _parse_l_range_mm(args.L_range)
     mu_values = _parse_mu_list(args.mu)
@@ -335,6 +338,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .sweep import maximize_eta
+
     doc = _load_config_doc(args.config) if args.config else {}
     lo, hi = _parse_pair(args.bounds, "--bounds")
     if lo <= 0.0 or hi <= lo:
@@ -363,6 +368,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import eta_numeric
+
     doc = _load_config_doc(args.config) if args.config else {}
     cfg = _resolve_experiment(args, doc)
     quad = _resolve_quadrature(args, doc)
@@ -408,6 +415,8 @@ def _cmd_params(args) -> int:
         raise UsageError("--Mp/--M/--QK and --sellmeier are mutually exclusive")
     temporal = None
     if args.sellmeier is not None:
+        from .dispersion import build_walkoff_set, group_delay_params
+
         model = _load_model(args.sellmeier)
         geometry = _geometry(args)
         walkoffs = build_walkoff_set(model, geometry)

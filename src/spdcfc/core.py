@@ -50,6 +50,17 @@ _SQRT8 = 2.0 * math.sqrt(2.0)
 # the quotient is 0/0 at sigma = 0 and loses bits at subnormal sigma.
 EROS_SERIES_CUTOFF = 1e-4
 
+# Defaults the command-line parser reads when it is built.  They are
+# defined here, in a module every command loads, and re-exported by
+# ``dispersion`` and ``sweep``, so building the parser loads neither.
+
+# Package default cut angle for the bundled BBO data (default, not a
+# measured value).
+DEFAULT_CUT_ANGLE_DEG = 42.9
+
+# The variables maximize_eta optimizes over.
+VARIABLES = ("mu", "rp", "xi")
+
 
 # ---------------------------------------------------------------------------
 # error function
@@ -297,13 +308,20 @@ def _eta(prefactor: float, sigma_c: float, sigma1: float,
     return eta
 
 
-def shape_params(cfg: ExperimentConfig) -> ShapeParams:
-    """Reduce an experiment configuration to its dimensionless shape."""
+def _shape_terms(cfg: ExperimentConfig) -> tuple[
+        float, float, float, float, float, AlphaBeta]:
+    # the xi step and the sigmas of one config:
+    # (prefactor, xi, sigma_c, sigma1, sigma2, alpha_beta)
     ab = compute_alpha_beta(cfg.walkoffs)
     xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
-    _, kc, k1, k2 = _xi_terms(xi, ab)
+    prefactor, kc, k1, k2 = _xi_terms(xi, ab)
     ratio = cfg.crystal_length / cfg.pump_waist
-    sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
+    return prefactor, xi, ratio * kc, ratio * k1, ratio * k2, ab
+
+
+def shape_params(cfg: ExperimentConfig) -> ShapeParams:
+    """Reduce an experiment configuration to its dimensionless shape."""
+    _, xi, sigma_c, sigma1, sigma2, ab = _shape_terms(cfg)
     _check_sigmas(sigma_c, sigma1, sigma2)
     return ShapeParams(xi, sigma_c, sigma1, sigma2, alpha_beta=ab)
 
@@ -327,8 +345,16 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
 
 
 def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:
-    """Convenience wrapper: shape_params followed by eta_closed_form."""
-    return eta_closed_form(shape_params(cfg))
+    """Convenience wrapper: shape_params followed by eta_closed_form.
+
+    Runs as one pass that keeps the xi step's prefactor; the result and
+    any error are the same as those of the two calls.
+    """
+    # sigmas that pass _eta's check always make a valid ShapeParams
+    prefactor, xi, sigma_c, sigma1, sigma2, ab = _shape_terms(cfg)
+    eta = _eta(prefactor, sigma_c, sigma1, sigma2)
+    return EfficiencyResult(
+        eta=eta, shape=ShapeParams(xi, sigma_c, sigma1, sigma2, alpha_beta=ab))
 
 
 # ---------------------------------------------------------------------------

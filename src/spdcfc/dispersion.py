@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import WalkOffSet
+# DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
+from .core import DEFAULT_CUT_ANGLE_DEG, WalkOffSet
 from .errors import DomainError, WavelengthRangeError
-
-# Package default cut angle for the bundled BBO data (default, not a
-# measured value).
-DEFAULT_CUT_ANGLE_DEG = 42.9
 
 # Central-difference step for group-index derivatives: 1 nm.
 _DERIV_STEP_UM = 1e-3

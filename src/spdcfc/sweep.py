@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (AlphaBeta, ExperimentConfig, WalkOffSet, _eta,
+from .core import (VARIABLES, AlphaBeta, ExperimentConfig, WalkOffSet, _eta,
                    _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
@@ -15,8 +15,6 @@ _N_PRESCAN = 64
 # Magnifications for the default reproduction sweep.  Only mu = 49 is
 # anchored to a measured design point; the rest are illustrative.
 DEFAULT_MU_VALUES = (25.0, 35.0, 49.0, 60.0, 80.0)
-
-VARIABLES = ("mu", "rp", "xi")
 
 
 def _validated_grid(name: str, values) -> tuple[float, ...]:

@@ -651,3 +651,50 @@ def test_oracle_without_numpy_exits_1_with_one_error_line(capsys):
     # the other subcommands do not need numpy
     for args, (code, out, _) in zip(NUMPY_FREE_RUNS, others):
         assert (code, out) == run_cli(args, capsys)[:2]
+
+
+# imports spdcfc, then runs one argument list through main(), in a fresh
+# interpreter; reports the spdcfc modules loaded after each step
+MODULES_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "spdcfc")
+import spdcfc
+report = {"import": loaded()}
+import spdcfc.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = spdcfc.cli.main(json.loads(sys.argv[1]))
+report.update(code=code, out=out.getvalue(), run=loaded(),
+              numpy="numpy" in sys.modules)
+print(json.dumps(report))
+"""
+
+CLI_CORE_MODULES = ["spdcfc", "spdcfc.cli", "spdcfc.core", "spdcfc.errors"]
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["eval", "--L-mm", "3", *REFERENCE_FLAGS], []),
+    (["eval", "--L-mm", "3", *REFERENCE_FLAGS, "--format", "json"], []),
+    (["eval", "--config", "CONFIG"], []),
+    (NUMPY_FREE_RUNS[2], ["spdcfc.sweep"]),
+    (NUMPY_FREE_RUNS[3], ["spdcfc.sweep"]),
+    (["oracle", "--L-mm", "3", *REFERENCE_FLAGS], ["spdcfc.oracle"]),
+    (["params", "--sellmeier"], ["spdcfc.dispersion"]),
+], ids=["eval", "eval-json", "eval-config", "sweep", "optimize", "oracle",
+        "params-sellmeier"])
+def test_each_subcommand_loads_only_the_modules_it_runs(args, extra, capsys,
+                                                       tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(run_cli(["eval", "--L-mm", "3", *REFERENCE_FLAGS,
+                               "--format", "json"], capsys)[1])
+    args = [str(config) if a == "CONFIG" else a for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, json.dumps(args)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == ["spdcfc", "spdcfc.core", "spdcfc.errors"]
+    assert report["run"] == sorted(CLI_CORE_MODULES + extra)
+    assert report["numpy"] is (extra == ["spdcfc.oracle"])
+    assert (report["code"], report["out"]) == run_cli(args, capsys)[:2]
+    assert report["code"] == 0

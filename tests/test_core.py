@@ -1,6 +1,7 @@
 """Parameter algebra and closed-form efficiency of the core model."""
 
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -314,6 +315,49 @@ def test_eta_closed_form_hand_built_extreme_xi():
     with pytest.raises(DomainError, match="too extreme"):
         eta_closed_form(ShapeParams(1e150, 0.0, 0.0, 0.0, ab))
     assert eta_closed_form(ShapeParams(1e-170, 0.0, 0.0, 0.0, ab)).eta == 1.0
+
+
+def _wide_configs(seed: int, count: int):
+    # log-uniform lengths, waists, radii and magnifications over 1e-200..1e300,
+    # so that xi, the sigmas and eta all reach their failure modes
+    rng = random.Random(seed)
+
+    def log_uniform():
+        return 10.0 ** rng.uniform(-200.0, 300.0)
+
+    def walkoff():
+        return 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 0.2)
+
+    for _ in range(count):
+        yield ExperimentConfig(
+            crystal_length=log_uniform(), pump_waist=log_uniform(),
+            fiber_mode_radius=log_uniform(),
+            inverse_magnification=log_uniform(),
+            walkoffs=WalkOffSet(m_p=walkoff(), m=walkoff(),
+                                q_over_k=walkoff()))
+
+
+def _outcome(fn, *args):
+    # a result as float.hex strings, or the error's type and message
+    try:
+        res = fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    sp, ab = res.shape, res.shape.alpha_beta
+    return tuple(float.hex(v) for v in (
+        res.eta, sp.xi, sp.sigma_c, sp.sigma1, sp.sigma2,
+        ab.alpha1, ab.alpha2, ab.beta))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_efficiency_equals_shape_params_then_eta_closed_form(seed):
+    raised = 0
+    for cfg in _wide_configs(seed, 3000):
+        expected = _outcome(lambda c: eta_closed_form(shape_params(c)), cfg)
+        assert _outcome(efficiency, cfg) == expected, cfg
+        raised += isinstance(expected[0], type)
+    # both paths are exercised: configs that evaluate and configs that raise
+    assert 300 < raised < 2700
 
 
 def test_efficiency_result_validation():
