@@ -20,6 +20,7 @@ import sys
 # them, so a command loads only the modules it runs
 from .core import (
     DEFAULT_CUT_ANGLE_DEG,
+    DEFAULT_MU_VALUES,
     VARIABLES,
     ExperimentConfig,
     WalkOffSet,
@@ -39,6 +40,9 @@ _CONFIG_KEYS = {"schema_version", "L_um", "rp_um", "w_um", "mu",
 _WALKOFF_KEYS = {"Mp", "M", "QK"}
 _QUAD_KEYS = {"n_tau", "n_trans", "extent_factor", "target_rel_err"}
 _RESULT_KEYS = {"eta", "shape"}
+# config entries that must hold numbers, and those that must be whole
+_NUMBER_KEYS = {"L_um", "rp_um", "w_um", "mu"} | _WALKOFF_KEYS | _QUAD_KEYS
+_WHOLE_KEYS = {"n_tau", "n_trans"}
 
 CSV_HEADER = "L_mm,mu,xi,eta"
 
@@ -59,13 +63,28 @@ def _fmt(x: float) -> str:
 # config assembly
 # ---------------------------------------------------------------------------
 
+def _check_number(prefix: str, key: str, value) -> None:
+    # a JSON number (not a bool) within the float range, and whole for a
+    # grid size; the message quotes at most 40 characters of the value
+    whole = key in _WHOLE_KEYS
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (float(value).is_integer() or not whole))
+    except OverflowError:  # a JSON integer beyond the float range
+        ok = False
+    if not ok:
+        kind = "a whole number" if whole else "a number"
+        raise UsageError(f"config {prefix}{key} must be {kind}, "
+                         f"got {value!r:.40}")
+
+
 def _load_config_doc(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable text or malformed JSON
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -93,6 +112,13 @@ def _load_config_doc(path: str) -> dict:
             bad = set(doc[sub]) - keys
             if bad:
                 raise UsageError(f"unknown {sub} keys: {sorted(bad)}")
+    for prefix, entries in (("", doc), ("walkoffs.", doc.get("walkoffs", {})),
+                            ("quadrature.", doc.get("quadrature", {}))):
+        for key, value in entries.items():
+            # null reads as absent, except for a walk-off
+            if key in _NUMBER_KEYS and (value is not None
+                                        or prefix == "walkoffs."):
+                _check_number(prefix, key, value)
     return doc
 
 
@@ -106,115 +132,100 @@ def _load_model(flag_value: str) -> IndexModel:
         return bundled_bbo()
     except OSError as exc:
         raise UsageError(f"cannot read Sellmeier file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"Sellmeier file is not valid JSON: {exc}") from exc
     except DomainError as exc:
         raise UsageError(f"bad Sellmeier file: {exc}") from exc
+    except ValueError as exc:  # undecodable text or malformed JSON
+        raise UsageError(f"Sellmeier file is not valid JSON: {exc}") from exc
 
 
-def _geometry(args) -> PhaseMatchGeometry:
-    from .dispersion import PhaseMatchGeometry
+def _resolve_walkoffs(args, doc: dict) -> tuple[WalkOffSet, tuple | None]:
+    """Walk-offs from the flags, a Sellmeier file or the config file.
 
-    return PhaseMatchGeometry.degenerate(
-        pump_wavelength=args.pump_nm * 1e-3,
-        cut_angle=math.radians(args.cut_angle_deg),
-        external_cone_angle=math.radians(args.cone_angle_deg))
-
-
-def _resolve_walkoffs(args, doc: dict) -> WalkOffSet:
+    Also returns the (model, geometry) pair the walk-offs were derived
+    from when they came from a Sellmeier file, else None.
+    """
     explicit = (args.Mp, args.M, args.QK)
     if any(v is not None for v in explicit):
         if args.sellmeier is not None:
             raise UsageError("--Mp/--M/--QK and --sellmeier are mutually exclusive")
         if any(v is None for v in explicit):
             raise UsageError("provide all of --Mp, --M and --QK together")
-        return WalkOffSet(m_p=args.Mp, m=args.M, q_over_k=args.QK)
+        return WalkOffSet(m_p=args.Mp, m=args.M, q_over_k=args.QK), None
     if args.sellmeier is not None:
-        from .dispersion import build_walkoff_set
+        from .dispersion import PhaseMatchGeometry, build_walkoff_set
 
-        return build_walkoff_set(_load_model(args.sellmeier), _geometry(args))
+        model = _load_model(args.sellmeier)
+        geometry = PhaseMatchGeometry.degenerate(
+            pump_wavelength=args.pump_nm * 1e-3,
+            cut_angle=math.radians(args.cut_angle_deg),
+            external_cone_angle=math.radians(args.cone_angle_deg))
+        return build_walkoff_set(model, geometry), (model, geometry)
     if "walkoffs" in doc:
         w = doc["walkoffs"]
         missing = _WALKOFF_KEYS - set(w)
         if missing:
             raise UsageError(f"config walkoffs missing {sorted(missing)}")
-        return WalkOffSet(m_p=w["Mp"], m=w["M"], q_over_k=w["QK"])
+        return WalkOffSet(m_p=w["Mp"], m=w["M"], q_over_k=w["QK"]), None
+    # params takes no config file
+    or_config = ", or a config file" if "config" in args else ""
     raise UsageError(
-        "no walk-offs: pass --Mp/--M/--QK, or --sellmeier, or a config file")
+        f"no walk-offs: pass --Mp/--M/--QK, or --sellmeier{or_config}")
+
+
+def _pick(flag_value, doc: dict, key: str, defaults: dict, missing: str = ""):
+    """A flag's value, else the config file's value under key, else
+    defaults[key]; a UsageError naming what is missing when none is set."""
+    value = flag_value if flag_value is not None else doc.get(key)
+    if value is None:
+        value = defaults.get(key)
+        if value is None:
+            raise UsageError(f"missing {missing}")
+    return value
 
 
 def _resolve_experiment(args, doc: dict, *,
                         optional: tuple[str, ...] = ()) -> ExperimentConfig:
     """Assemble the experiment from flags over config-file values.
 
-    Quantities named in optional may be omitted; they get a placeholder
-    of 1.0 because the subcommand overrides them per point (the sweep
-    grid, the optimized variable).
+    The config keys named in optional may be omitted; they get a
+    placeholder of 1.0 because the subcommand overrides them per point
+    (the sweep grid, the optimized variable).
     """
-    length_um = (1000.0 * args.L_mm if args.L_mm is not None
-                 else doc.get("L_um"))
-    if length_um is None:
-        if "L" not in optional:
-            raise UsageError("missing crystal length: pass --L-mm")
-        length_um = 1.0
-
-    rp = args.rp_um if args.rp_um is not None else doc.get("rp_um")
-    if rp is None:
-        if "rp" not in optional:
-            raise UsageError("missing pump waist: pass --rp-um")
-        rp = 1.0
-
+    placeholders = dict.fromkeys(optional, 1.0)
+    length_um = _pick(None if args.L_mm is None else 1000.0 * args.L_mm, doc,
+                      "L_um", placeholders, "crystal length: pass --L-mm")
+    rp = _pick(args.rp_um, doc, "rp_um", placeholders,
+               "pump waist: pass --rp-um")
     if args.w_um is not None and args.mfd_um is not None:
         raise UsageError("--w-um and --mfd-um are mutually exclusive")
-    if args.w_um is not None:
-        w = args.w_um
-    elif args.mfd_um is not None:
-        w = mode_field_radius(args.mfd_um)
-    else:
-        w = doc.get("w_um")
-    if w is None:
-        if "w" not in optional:
-            raise UsageError("missing fiber mode: pass --w-um or --mfd-um")
-        w = 1.0
-
+    w = _pick(args.w_um if args.mfd_um is None
+              else mode_field_radius(args.mfd_um), doc, "w_um", placeholders,
+              "fiber mode: pass --w-um or --mfd-um")
     lens = (args.f_mm is not None, args.dbl_mm is not None)
     if any(lens) and not all(lens):
         raise UsageError("--f-mm and --dbl-mm must be given together")
     if args.mu is not None and all(lens):
         raise UsageError("--mu and --f-mm/--dbl-mm are mutually exclusive")
-    if args.mu is not None:
-        mu = args.mu
-    elif all(lens):
-        mu, _ = magnification(args.f_mm, args.dbl_mm)
-    else:
-        mu = doc.get("mu")
-    if mu is None:
-        if "mu" not in optional:
-            raise UsageError("missing magnification: pass --mu or --f-mm/--dbl-mm")
-        mu = 1.0
-
+    mu = _pick(magnification(args.f_mm, args.dbl_mm)[0] if all(lens)
+               else args.mu, doc, "mu", placeholders,
+               "magnification: pass --mu or --f-mm/--dbl-mm")
     return ExperimentConfig(
         crystal_length=length_um, pump_waist=rp, fiber_mode_radius=w,
-        inverse_magnification=mu, walkoffs=_resolve_walkoffs(args, doc))
+        inverse_magnification=mu, walkoffs=_resolve_walkoffs(args, doc)[0])
 
 
 def _resolve_quadrature(args, doc: dict) -> QuadratureSpec:
     from .oracle import QuadratureSpec
 
     qdoc = doc.get("quadrature", {})
-    defaults = QuadratureSpec()
-
-    def pick(flag_value, key: str, default):
-        value = flag_value if flag_value is not None else qdoc.get(key)
-        return default if value is None else value
-
+    defaults = vars(QuadratureSpec())
     return QuadratureSpec(
-        n_tau=int(pick(args.n_tau, "n_tau", defaults.n_tau)),
-        n_trans=int(pick(args.n_trans, "n_trans", defaults.n_trans)),
-        extent_factor=float(pick(args.extent_factor, "extent_factor",
-                                 defaults.extent_factor)),
-        target_rel_err=float(pick(args.target_rel_err, "target_rel_err",
-                                  defaults.target_rel_err)))
+        n_tau=int(_pick(args.n_tau, qdoc, "n_tau", defaults)),
+        n_trans=int(_pick(args.n_trans, qdoc, "n_trans", defaults)),
+        extent_factor=float(_pick(args.extent_factor, qdoc, "extent_factor",
+                                  defaults)),
+        target_rel_err=float(_pick(args.target_rel_err, qdoc,
+                                   "target_rel_err", defaults)))
 
 
 def _config_doc(cfg: ExperimentConfig) -> dict:
@@ -263,20 +274,27 @@ def _parse_l_range_mm(text: str) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def _parse_mu_list(text: str) -> list[float]:
-    try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise UsageError(f"--mu must be a comma-separated list, got {text!r}") from exc
-    if not values:
-        raise UsageError("--mu list is empty")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"--mu values must be finite, got {text!r}")
-    if any(v <= 0.0 for v in values):
-        raise UsageError("--mu values must be > 0")
-    if sorted(values) != values or len(set(values)) != len(values):
-        raise UsageError("--mu values must be strictly increasing")
-    return values
+# ---------------------------------------------------------------------------
+# output
+# ---------------------------------------------------------------------------
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_render, value)) + "]"
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _print_fields(fields: dict) -> None:
+    """One "name = value" line per field, names padded to the longest."""
+    width = max(map(len, fields))
+    for name, value in fields.items():
+        print(f"{name:<{width}} = {_render(value)}")
+
+
+def _print_json(fields: dict) -> None:
+    print(json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -289,51 +307,40 @@ def _cmd_eval(args) -> int:
     res = efficiency(cfg)
     shape = res.shape
     ab = shape.alpha_beta
+    shape_fields = {"xi": shape.xi, "sigma_c": shape.sigma_c,
+                    "sigma1": shape.sigma1, "sigma2": shape.sigma2,
+                    "alpha1": ab.alpha1, "alpha2": ab.alpha2, "beta": ab.beta}
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": _config_doc(cfg),
-            "eta": res.eta,
-            "shape": {"xi": shape.xi, "sigma_c": shape.sigma_c,
-                      "sigma1": shape.sigma1, "sigma2": shape.sigma2,
-                      "alpha1": ab.alpha1, "alpha2": ab.alpha2,
-                      "beta": ab.beta},
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json({"config": _config_doc(cfg), "eta": res.eta,
+                     "shape": shape_fields})
     else:
-        print(f"eta     = {_fmt(res.eta)}")
-        print(f"xi      = {_fmt(shape.xi)}")
-        print(f"sigma_c = {_fmt(shape.sigma_c)}")
-        print(f"sigma1  = {_fmt(shape.sigma1)}")
-        print(f"sigma2  = {_fmt(shape.sigma2)}")
-        print(f"alpha1  = {_fmt(ab.alpha1)}")
-        print(f"alpha2  = {_fmt(ab.alpha2)}")
-        print(f"beta    = {_fmt(ab.beta)}")
+        _print_fields({"eta": res.eta, **shape_fields})
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SweepSpec, efficiency_curve
+    from .sweep import SweepSpec, _validated_grid, efficiency_curve
 
     doc = _load_config_doc(args.config) if args.config else {}
     l_grid_mm = _parse_l_range_mm(args.L_range)
-    mu_values = _parse_mu_list(args.mu)
-    # the sweep grid supplies L and mu; neutralize their single-value slots
-    plain = argparse.Namespace(**{**vars(args), "L_mm": None, "mu": None})
-    template = _resolve_experiment(plain, doc, optional=("L", "mu"))
+    try:
+        mu_values = _validated_grid(
+            "--mu", [float(p) for p in args.mu_list.split(",") if p.strip()])
+    except ValueError as exc:  # DomainError from the grid check is one
+        raise UsageError(str(exc)) from exc
+    # the sweep grid supplies L and mu; the parser leaves their flags unset
+    template = _resolve_experiment(args, doc, optional=("L_um", "mu"))
     spec = SweepSpec(l_grid=tuple(1000.0 * l for l in l_grid_mm),
-                     mu_values=tuple(mu_values), fixed=template)
-    result = efficiency_curve(spec)
+                     mu_values=mu_values, fixed=template)
+    rows = [(r.length / 1000.0, r.mu, r.xi, r.eta)
+            for r in efficiency_curve(spec).rows]
     if args.format == "json":
-        rows = [{"L_mm": r.length / 1000.0, "mu": r.mu, "xi": r.xi,
-                 "eta": r.eta} for r in result.rows]
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows},
-                         indent=2))
+        columns = CSV_HEADER.split(",")
+        _print_json({"rows": [dict(zip(columns, row)) for row in rows]})
     else:
         print(CSV_HEADER)
-        for r in result.rows:
-            print(f"{_fmt(r.length / 1000.0)},{_fmt(r.mu)},"
-                  f"{_fmt(r.xi)},{_fmt(r.eta)}")
+        for row in rows:
+            print(",".join(map(_fmt, row)))
     return 0
 
 
@@ -345,22 +352,16 @@ def _cmd_optimize(args) -> int:
     if lo <= 0.0 or hi <= lo:
         raise UsageError(
             f"--bounds must satisfy 0 < lo < hi for {args.var}, got {args.bounds!r}")
-    optional = {"mu": ("mu",), "xi": ("mu", "w"), "rp": ("rp",)}[args.var]
+    optional = {"mu": ("mu",), "xi": ("mu", "w_um"), "rp": ("rp_um",)}[args.var]
     cfg = _resolve_experiment(args, doc, optional=optional)
     res = maximize_eta(cfg, args.var, (lo, hi))
+    fields = {"variable": res.variable, "argmax": res.argmax,
+              "eta_max": res.eta_max, "bracket": list(res.bracket),
+              "iterations": res.iterations, "boundary": res.boundary}
     if args.format == "json":
-        print(json.dumps({
-            "schema_version": SCHEMA_VERSION, "variable": res.variable,
-            "argmax": res.argmax, "eta_max": res.eta_max,
-            "bracket": list(res.bracket), "iterations": res.iterations,
-            "boundary": res.boundary}, indent=2))
+        _print_json(fields)
     else:
-        print(f"variable   = {res.variable}")
-        print(f"argmax     = {_fmt(res.argmax)}")
-        print(f"eta_max    = {_fmt(res.eta_max)}")
-        print(f"bracket    = [{_fmt(res.bracket[0])}, {_fmt(res.bracket[1])}]")
-        print(f"iterations = {res.iterations}")
-        print(f"boundary   = {'yes' if res.boundary else 'no'}")
+        _print_fields(fields)
     if res.boundary:
         print("note: maximum sits on a bracket boundary; no interior "
               "optimum established", file=sys.stderr)
@@ -391,17 +392,13 @@ def _cmd_oracle(args) -> int:
     deviation = abs(oracle.eta_numeric - eta_closed) / eta_closed
     threshold = max(1e-4, 3.0 * oracle.est_rel_err)
     ok = deviation <= threshold
+    fields = {"eta_closed": eta_closed, "eta_numeric": oracle.eta_numeric,
+              "rel_deviation": deviation, "est_rel_err": oracle.est_rel_err}
     if args.format == "json":
-        print(json.dumps({
-            "schema_version": SCHEMA_VERSION, "config": _config_doc(cfg),
-            "eta_closed": eta_closed, "eta_numeric": oracle.eta_numeric,
-            "rel_deviation": deviation, "est_rel_err": oracle.est_rel_err,
-            "pieces": list(oracle.pieces), "pass": ok}, indent=2))
+        _print_json({"config": _config_doc(cfg), **fields,
+                     "pieces": list(oracle.pieces), "pass": ok})
     else:
-        print(f"eta_closed    = {_fmt(eta_closed)}")
-        print(f"eta_numeric   = {_fmt(oracle.eta_numeric)}")
-        print(f"rel_deviation = {_fmt(deviation)}")
-        print(f"est_rel_err   = {_fmt(oracle.est_rel_err)}")
+        _print_fields(fields)
     if not ok:
         print(f"error: closed form and quadrature disagree: deviation "
               f"{deviation:.3g} > {threshold:.3g}", file=sys.stderr)
@@ -410,42 +407,25 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    explicit = (args.Mp, args.M, args.QK)
-    if any(v is not None for v in explicit) and args.sellmeier is not None:
-        raise UsageError("--Mp/--M/--QK and --sellmeier are mutually exclusive")
-    temporal = None
-    if args.sellmeier is not None:
-        from .dispersion import build_walkoff_set, group_delay_params
-
-        model = _load_model(args.sellmeier)
-        geometry = _geometry(args)
-        walkoffs = build_walkoff_set(model, geometry)
-        temporal = group_delay_params(model, geometry)
-    elif all(v is not None for v in explicit):
-        walkoffs = WalkOffSet(m_p=args.Mp, m=args.M, q_over_k=args.QK)
-    else:
-        raise UsageError("pass either all of --Mp/--M/--QK or --sellmeier")
+    walkoffs, derived = _resolve_walkoffs(args, {})
     ab = compute_alpha_beta(walkoffs)
+    walkoff_fields = {"Mp": walkoffs.m_p, "M": walkoffs.m,
+                      "QK": walkoffs.q_over_k}
+    ab_fields = {"alpha1": ab.alpha1, "alpha2": ab.alpha2, "beta": ab.beta}
+    temporal_fields = None
+    if derived is not None:
+        from .dispersion import group_delay_params
+
+        temporal = group_delay_params(*derived)
+        temporal_fields = {"D_fs_per_um": temporal.d,
+                           "Lambda_fs_per_um": temporal.lam}
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "walkoffs": {"Mp": walkoffs.m_p, "M": walkoffs.m,
-                         "QK": walkoffs.q_over_k},
-            "alpha1": ab.alpha1, "alpha2": ab.alpha2, "beta": ab.beta,
-            "temporal": None if temporal is None else
-            {"D_fs_per_um": temporal.d, "Lambda_fs_per_um": temporal.lam},
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json({"walkoffs": walkoff_fields, **ab_fields,
+                     "temporal": temporal_fields})
     else:
-        print(f"Mp     = {_fmt(walkoffs.m_p)}")
-        print(f"M      = {_fmt(walkoffs.m)}")
-        print(f"QK     = {_fmt(walkoffs.q_over_k)}")
-        print(f"alpha1 = {_fmt(ab.alpha1)}")
-        print(f"alpha2 = {_fmt(ab.alpha2)}")
-        print(f"beta   = {_fmt(ab.beta)}")
-        if temporal is not None:
-            print(f"D_fs_per_um      = {_fmt(temporal.d)}")
-            print(f"Lambda_fs_per_um = {_fmt(temporal.lam)}")
+        _print_fields({**walkoff_fields, **ab_fields})
+        if temporal_fields is not None:
+            _print_fields(temporal_fields)
     return 0
 
 
@@ -520,12 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="efficiency vs crystal length as CSV/JSON")
     p_sweep.add_argument("--L-range", dest="L_range", required=True,
                          metavar="LO:HI:STEP", help="crystal lengths in mm")
-    p_sweep.add_argument("--mu", default="25,35,49,60,80",
+    default_mu = ",".join(format(v, "g") for v in DEFAULT_MU_VALUES)
+    p_sweep.add_argument("--mu", dest="mu_list", metavar="MU",
+                         default=default_mu,
                          help="comma-separated magnifications, increasing "
-                              "(default 25,35,49,60,80: an illustrative set "
+                              f"(default {default_mu}: an illustrative set "
                               "around the anchored design point 49)")
     _add_common(p_sweep, with_length=False, with_mu=False)
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    # the --L-range and --mu grids take the place of single values
+    p_sweep.set_defaults(handler=_cmd_sweep, L_mm=None, mu=None)
 
     p_opt = sub.add_parser("optimize", help="maximize efficiency over one variable")
     p_opt.add_argument("--var", required=True, choices=VARIABLES)
@@ -564,10 +547,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (ConvergenceError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

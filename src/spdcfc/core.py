@@ -61,6 +61,10 @@ DEFAULT_CUT_ANGLE_DEG = 42.9
 # The variables maximize_eta optimizes over.
 VARIABLES = ("mu", "rp", "xi")
 
+# Magnifications for the default reproduction sweep.  Only mu = 49 is
+# anchored to a measured design point; the rest are illustrative.
+DEFAULT_MU_VALUES = (25.0, 35.0, 49.0, 60.0, 80.0)
+
 
 # ---------------------------------------------------------------------------
 # error function
@@ -101,7 +105,10 @@ def sigma_over_erf(sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:  # a float, the common case, needs neither
+        if isinstance(value, (str, bytes)):  # float() would parse them
+            raise DomainError(f"{name} must be a number, got {value!r}")
+        value = float(value)
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value

@@ -139,7 +139,7 @@ class PhaseMatchGeometry:
     external_cone_angle: float
 
     def __post_init__(self):
-        if self.pump_wavelength <= 0.0:
+        if not self.pump_wavelength > 0.0:  # NaN included
             raise DomainError("pump_wavelength must be > 0")
         if not math.isclose(self.degenerate_wavelength,
                             2.0 * self.pump_wavelength, rel_tol=1e-9):

@@ -77,6 +77,9 @@ class QuadratureSpec:
                 f"grid too large: n_tau={self.n_tau}, n_trans={self.n_trans} "
                 f"(n_tau <= {MAX_N_TAU}, n_tau * n_trans <= "
                 f"{MAX_GRID_POINTS // 16})")
+        if not math.isfinite(self.extent_factor):
+            raise DomainError(
+                f"extent_factor must be finite, got {self.extent_factor}")
         if self.extent_factor < 4.0:
             raise DomainError(
                 f"extent_factor must be >= 4, got {self.extent_factor}")

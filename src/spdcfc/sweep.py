@@ -5,16 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (VARIABLES, AlphaBeta, ExperimentConfig, WalkOffSet, _eta,
-                   _xi_terms, compute_alpha_beta)
+# DEFAULT_MU_VALUES is defined in core and re-exported from here
+from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
+                   WalkOffSet, _eta, _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_PRESCAN = 64
-
-# Magnifications for the default reproduction sweep.  Only mu = 49 is
-# anchored to a measured design point; the rest are illustrative.
-DEFAULT_MU_VALUES = (25.0, 35.0, 49.0, 60.0, 80.0)
 
 
 def _validated_grid(name: str, values) -> tuple[float, ...]:

@@ -99,6 +99,8 @@ def test_unknown_names_raise_attribute_error(name):
     ("DEFAULT_CUT_ANGLE_DEG", ["spdcfc", "spdcfc.cli", "spdcfc.core",
                                "spdcfc.dispersion"]),
     ("VARIABLES", ["spdcfc.cli", "spdcfc.core", "spdcfc.sweep"]),
+    ("DEFAULT_MU_VALUES", ["spdcfc", "spdcfc.cli", "spdcfc.core",
+                           "spdcfc.sweep"]),
 ])
 def test_parser_constants_have_one_definition(name, exposers):
     modules = ["spdcfc", *(f"spdcfc.{m}" for m in [*EXPORTS, "cli"])]

@@ -417,3 +417,17 @@ def test_bookkeeping_round_trip(eta_fc, eta_det, t_filter):
 def test_raw_to_effective_rejects_inconsistent_chain():
     with pytest.raises(DomainError):
         raw_to_effective(0.9, 0.5, 0.85)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExperimentConfig("3000", 53.0, 1.48, 49.0, REFERENCE_WALKOFFS),
+    lambda: ExperimentConfig(3000.0, b"53", 1.48, 49.0, REFERENCE_WALKOFFS),
+    lambda: WalkOffSet(m_p="0.07631", m=0.07243, q_over_k=0.036215),
+    lambda: mode_field_radius("4.2"),
+    lambda: magnification(b"15.4", 780.0),
+], ids=["length-str", "waist-bytes", "walkoff-str", "mfd-str",
+        "focal-bytes"])
+def test_text_is_not_a_number(build):
+    # float() would parse these; the value must arrive as a number
+    with pytest.raises(DomainError, match="must be a number"):
+        build()

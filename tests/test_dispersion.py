@@ -295,3 +295,10 @@ def test_load_index_model_rejects_malformed(tmp_path):
                           "range_um": [0.3, 1.5]}}))
     with pytest.raises(DomainError):
         load_index_model(path)
+
+
+def test_geometry_rejects_nan_pump_wavelength():
+    with pytest.raises(DomainError, match="pump_wavelength"):
+        PhaseMatchGeometry.degenerate(math.nan, 0.7, 0.06)
+    with pytest.raises(DomainError, match="pump_wavelength"):
+        PhaseMatchGeometry(math.nan, math.nan, 0.7, 0.06)

@@ -244,3 +244,9 @@ def test_converged_result_agrees_despite_coarse_start():
     closed = efficiency(cfg).eta
     assert abs(res.eta_numeric - closed) / closed <= max(
         1e-4, 3.0 * res.est_rel_err)
+
+
+@pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf])
+def test_quadrature_spec_rejects_nonfinite_extent(extent):
+    with pytest.raises(DomainError, match="extent_factor must be finite"):
+        QuadratureSpec(extent_factor=extent)
