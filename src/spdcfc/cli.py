@@ -96,15 +96,18 @@ def _load_config_doc(path: str) -> dict:
         inner = doc["config"]
         if not isinstance(inner, dict):
             raise UsageError("config entry must be a JSON object")
-        doc = dict(inner)
-        doc.setdefault("schema_version", SCHEMA_VERSION)
+        # the outer version speaks for the inner config unless it has one
+        doc = {"schema_version": doc.get("schema_version", SCHEMA_VERSION),
+               **inner}
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    # the JSON integer only: true and 1.0 compare equal to 1 in Python
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise UsageError(
             f"config schema_version must be {SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}")
+            f"got {version!r}")
     for sub, keys in (("walkoffs", _WALKOFF_KEYS), ("quadrature", _QUAD_KEYS)):
         if sub in doc:
             if not isinstance(doc[sub], dict):

@@ -31,6 +31,15 @@ The public functions wrap them in the validated dataclasses; the sweeps
 run the xi step once per distinct xi and the length step once per
 point, on inputs validated once, so both give the same bits.
 
+The length step runs once per point of every sweep, optimization and
+ceiling scan, and there a Python call costs more than its arithmetic.
+So on its common path, three finite sigmas none of them below
+``EROS_SERIES_CUTOFF``, it makes no call besides ``math.erf`` and
+``math.sqrt``: it computes each erf(sigma)/sigma and its finiteness test
+inline.  It hands over only when a sigma is small, to the Taylor series,
+or not finite, to the check that raises, so each of those is still
+written once.
+
 All lengths are micrometres.  All functions are pure; the dataclasses
 are frozen and safe to share across threads.
 """
@@ -45,6 +54,11 @@ from .errors import DomainError, NoRealImageError
 TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi)
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
+
+# bound once for the per-point steps below, which look each up per call
+_erf = math.erf
+_sqrt = math.sqrt
+_INF = math.inf
 
 # Below this sigma the erf(sigma)/sigma ratio switches to its Taylor series:
 # the quotient is 0/0 at sigma = 0 and loses bits at subnormal sigma.
@@ -92,7 +106,7 @@ def _erf_over_sigma(sigma: float) -> float:
     if sigma < EROS_SERIES_CUTOFF:
         s2 = sigma * sigma
         return TWO_OVER_SQRT_PI * (1.0 - s2 / 3.0 + s2 * s2 / 10.0)
-    return math.erf(sigma) / sigma
+    return _erf(sigma) / sigma
 
 
 def sigma_over_erf(sigma: float) -> float:
@@ -105,10 +119,15 @@ def sigma_over_erf(sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _require_finite(name: str, value: float) -> float:
-    if type(value) is not float:  # a float, the common case, needs neither
+    if type(value) is not float:  # a float, the common case, needs none
         if isinstance(value, (str, bytes)):  # float() would parse them
             raise DomainError(f"{name} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            raise DomainError(
+                f"{name} must be finite, got a number past the float range"
+            ) from None
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
@@ -279,23 +298,23 @@ def _prefactor(xi2: float) -> float:
 def _xi_terms(xi: float,
               ab: AlphaBeta) -> tuple[float, float, float, float]:
     # the xi step: (prefactor, kc, k1, k2), with sigma_x = (L/r_p) * k_x
-    if not 0.0 < xi < math.inf:
+    if not 0.0 < xi < _INF:
         raise DomainError(f"xi must be finite and > 0, got {xi}")
     xi2 = xi * xi
     # 0 once xi*xi underflows, inf once it overflows; the prefactor's
     # (2 + xi2)**2 overflows exactly when this product does
     denominator = xi2 * (2.0 + xi2)
-    if not 0.0 < denominator < math.inf:
+    if not 0.0 < denominator < _INF:
         raise DomainError(f"xi={xi} too extreme to evaluate")
     return (_prefactor(xi2),
-            math.sqrt(((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / denominator),
-            math.sqrt(ab.alpha1 / (1.0 + xi2)),
-            math.sqrt(ab.alpha2 / (1.0 + xi2)))
+            _sqrt(((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / denominator),
+            _sqrt(ab.alpha1 / (1.0 + xi2)),
+            _sqrt(ab.alpha2 / (1.0 + xi2)))
 
 
 def _check_sigmas(sigma_c: float, sigma1: float, sigma2: float) -> None:
     # L/r_p >= 0 and the rates are >= 0, so only inf or NaN can fail here
-    if not (sigma_c < math.inf and sigma1 < math.inf and sigma2 < math.inf):
+    if not (sigma_c < _INF and sigma1 < _INF and sigma2 < _INF):
         raise DomainError(
             f"sigmas must be finite, got sigma_c={sigma_c}, "
             f"sigma1={sigma1}, sigma2={sigma2}")
@@ -303,13 +322,21 @@ def _check_sigmas(sigma_c: float, sigma1: float, sigma2: float) -> None:
 
 def _eta(prefactor: float, sigma_c: float, sigma1: float,
          sigma2: float) -> float:
-    # the length step: eta from the xi step's prefactor and the sigmas
-    _check_sigmas(sigma_c, sigma1, sigma2)
-    arms = math.sqrt(_erf_over_sigma(sigma1) * _erf_over_sigma(sigma2))
+    # the length step: eta from the xi step's prefactor and the sigmas,
+    # inline on the common path (module docstring); the test below is
+    # _check_sigmas's own, and a series sigma goes to _erf_over_sigma
+    if not (sigma_c < _INF and sigma1 < _INF and sigma2 < _INF):
+        _check_sigmas(sigma_c, sigma1, sigma2)
+    cut = EROS_SERIES_CUTOFF
+    arms = _sqrt(
+        (_erf(sigma1) / sigma1 if sigma1 >= cut else _erf_over_sigma(sigma1))
+        * (_erf(sigma2) / sigma2 if sigma2 >= cut
+           else _erf_over_sigma(sigma2)))
     if arms == 0.0:
         raise DomainError(
             f"sigma1={sigma1}, sigma2={sigma2} too extreme to evaluate")
-    eta = prefactor * _erf_over_sigma(sigma_c) / arms
+    eta = prefactor * (_erf(sigma_c) / sigma_c if sigma_c >= cut
+                       else _erf_over_sigma(sigma_c)) / arms
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta}")
     return eta

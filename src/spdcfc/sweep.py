@@ -7,15 +7,23 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _eta, _xi_terms, compute_alpha_beta)
+                   WalkOffSet, _eta, _require_finite, _xi_terms,
+                   compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_PRESCAN = 64
 
 
+def _as_floats(name: str, values) -> tuple[float, ...]:
+    # core's number rule for what is not a float; a non-finite float is
+    # left to the caller's own check and message
+    return tuple(v if type(v) is float else _require_finite(name, v)
+                 for v in values)
+
+
 def _validated_grid(name: str, values) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in values)
+    grid = _as_floats(name, values)
     if not grid:
         raise DomainError(f"{name} must not be empty")
     if any(v <= 0.0 or math.isnan(v) or math.isinf(v) for v in grid):
@@ -138,7 +146,8 @@ def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
     ratio = length / rp
 
     def eta_at(value: float) -> float:
-        prefactor, kc, k1, k2 = _xi_terms(_xi_of(value, rp, w), ab)
+        # _xi_of, in place: this runs once per golden-section step
+        prefactor, kc, k1, k2 = _xi_terms(w * (value * rp / w) / rp, ab)
         return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
     return eta_at
 
@@ -187,7 +196,7 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     bracket shrinks below rel_tol relative to the variable.  The
     returned maximum is never below the best pre-scan point.
     """
-    lo, hi = (float(b) for b in bounds)
+    lo, hi = _as_floats("bounds", bounds)
     if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
     # both ends must make a valid configuration; the points in between

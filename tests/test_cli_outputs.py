@@ -348,3 +348,34 @@ def test_unparsable_sellmeier_file_is_a_usage_error(content, capsys,
     assert (code, out) == (2, "")
     assert err.startswith("usage error: Sellmeier file is not valid JSON:")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# schema_version is the JSON integer 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("version, shown", [
+    (True, "True"), (1.0, "1.0"), ("1", "'1'"), (None, "None")],
+    ids=["true", "one-point-zero", "text", "null"])
+def test_config_schema_version_must_be_the_integer_1(version, shown, capsys,
+                                                     tmp_path):
+    for doc in ({**REFERENCE_CONFIG, "schema_version": version},
+                {"schema_version": version, "eta": 0.4, "shape": {},
+                 "config": {k: v for k, v in REFERENCE_CONFIG.items()
+                            if k != "schema_version"}}):
+        code, out, err = run_cli(
+            ["eval", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: config schema_version must be 1, "
+                       f"got {shown}\n")
+
+
+def test_config_round_trip_keeps_its_schema_version(capsys, tmp_path):
+    args = ["eval", "--L-mm", "3", *REFERENCE_FLAGS, "--format", "json"]
+    code, first, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(first)["schema_version"] == 1
+    code, second, _ = run_cli(["eval", "--config",
+                               write_config(tmp_path, first), "--format",
+                               "json"], capsys)
+    assert (code, second) == (0, first)

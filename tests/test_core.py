@@ -4,6 +4,7 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -431,3 +432,23 @@ def test_text_is_not_a_number(build):
     # float() would parse these; the value must arrive as a number
     with pytest.raises(DomainError, match="must be a number"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# a number past the float range is a domain error
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", ["crystal_length", "pump_waist",
+                                   "fiber_mode_radius",
+                                   "inverse_magnification"])
+def test_config_number_past_float_range_is_domain_error(field):
+    for huge in (10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3)):
+        with pytest.raises(DomainError) as exc:
+            replace(reference_config(), **{field: huge})
+        assert str(exc.value) == (
+            f"{field} must be finite, got a number past the float range")
+
+
+def test_walkoff_number_past_float_range_is_domain_error():
+    with pytest.raises(DomainError, match="^q_over_k must be finite"):
+        WalkOffSet(m_p=0.07, m=0.07, q_over_k=10 ** 400)

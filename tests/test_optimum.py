@@ -1,0 +1,166 @@
+"""The optimum over xi against the root of a closed-form d eta / d xi.
+
+``maximize_eta`` searches numerically.  The derivative below is written
+out by hand from the efficiency formula, with erf'(s) = 2/sqrt(pi)
+exp(-s^2), in the way ``reference_erf`` stands apart from ``math.erf``:
+it shares no code with the optimizer or with the closed form's steps.
+eta(xi) has one interior maximum (measured on 2000 wide-domain configs),
+so the derivative changes sign once, and bisection finds where.  The
+best eta over xi is also checked to fall as the crystal grows.
+"""
+
+import math
+import random
+
+import pytest
+
+from spdcfc import (
+    ExperimentConfig,
+    WalkOffSet,
+    ceiling_scan,
+    compute_alpha_beta,
+    efficiency,
+    maximize_eta,
+)
+from spdcfc.sweep import _with_variable
+
+REL_TOL = 1e-6  # maximize_eta's default
+
+
+def dlog_erf_over_sigma(s: float) -> float:
+    # d/ds ln(erf(s)/s) = erf'(s)/erf(s) - 1/s, and -2s/3 as s -> 0
+    if s < 1e-3:
+        return -2.0 * s / 3.0
+    return 2.0 / math.sqrt(math.pi) * math.exp(-s * s) / math.erf(s) - 1.0 / s
+
+
+def dlog_eta_dxi(xi: float, ratio: float, alpha1: float, alpha2: float,
+                 beta: float) -> float:
+    """d ln(eta) / d xi at L/r_p = ratio, from the formula term by term.
+
+    ln eta = ln P(t) + ln E(s_c) - (ln E(s_1) + ln E(s_2)) / 2, with
+    t = xi^2, E(s) = erf(s)/s, P = 4 (1+t)/(2+t)^2,
+    s_c^2 = ratio^2 ((alpha1+alpha2) t + beta) / (t (2+t)) and
+    s_i^2 = ratio^2 alpha_i / (1+t).
+    """
+    t = xi * xi
+    dlog_p_dt = 1.0 / (1.0 + t) - 2.0 / (2.0 + t)
+    num, den = (alpha1 + alpha2) * t + beta, t * (2.0 + t)
+    s_c = ratio * math.sqrt(num / den)
+    # d s/dt = s/2 * d ln(s^2)/dt
+    ds_c_dt = 0.5 * s_c * ((alpha1 + alpha2) / num - (2.0 + 2.0 * t) / den)
+    dlog = dlog_p_dt + dlog_erf_over_sigma(s_c) * ds_c_dt
+    for alpha in (alpha1, alpha2):
+        s = ratio * math.sqrt(alpha / (1.0 + t))
+        ds_dt = -0.5 * s / (1.0 + t)
+        dlog -= 0.5 * dlog_erf_over_sigma(s) * ds_dt
+    return dlog * 2.0 * xi  # dt/dxi
+
+
+def derivative_root(slope, lo: float, hi: float) -> float | None:
+    """Where slope changes sign on [lo, hi], or None if it does not."""
+    if slope(lo) <= 0.0 or slope(hi) >= 0.0:
+        return None
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def seeded_cases(seed: int, count: int):
+    # log-uniform L in [10 um, 10 cm] and r_p in [3, 1000] um, walk-offs
+    # uniform in [0, 0.2], and xi bounds that leave some optima outside
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(count):
+        walkoffs = WalkOffSet(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2),
+                              rng.uniform(0.0, 0.2))
+        cfg = ExperimentConfig(log_uniform(10.0, 1e5), log_uniform(3.0, 1e3),
+                               log_uniform(1.0, 10.0), 1.0, walkoffs)
+        lo = log_uniform(0.05, 2.0)
+        yield cfg, (lo, lo * log_uniform(1.5, 50.0))
+
+
+def slope_of(cfg: ExperimentConfig):
+    ab = compute_alpha_beta(cfg.walkoffs)
+    ratio = cfg.crystal_length / cfg.pump_waist
+
+    def slope(xi):
+        return dlog_eta_dxi(xi, ratio, ab.alpha1, ab.alpha2, ab.beta)
+    return slope
+
+
+def test_derivative_matches_finite_differences():
+    # the hand-written derivative is itself right: it is the slope of
+    # ln eta as maximize_eta evaluates it
+    for cfg, _ in seeded_cases(11, 40):
+        slope = slope_of(cfg)
+        for xi in (0.1, 0.5, 1.3, 4.0):
+            h = 1e-5 * xi
+            up = efficiency(_with_variable(cfg, "xi", xi + h)).eta
+            down = efficiency(_with_variable(cfg, "xi", xi - h)).eta
+            numeric = (math.log(up) - math.log(down)) / (2.0 * h)
+            assert slope(xi) == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_argmax_is_the_root_of_the_derivative(seed):
+    interior = 0
+    for cfg, (lo, hi) in seeded_cases(seed, 60):
+        root = derivative_root(slope_of(cfg), lo, hi)
+        if root is None:
+            continue
+        interior += 1
+        res = maximize_eta(cfg, "xi", (lo, hi), rel_tol=REL_TOL)
+        assert abs(res.argmax - root) <= REL_TOL * root
+    assert interior >= 20  # the seeds reach the case under test
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_boundary_is_set_exactly_when_the_root_is_outside(seed):
+    outside = 0
+    for cfg, (lo, hi) in seeded_cases(seed, 60):
+        slope = slope_of(cfg)
+        root = derivative_root(slope, lo, hi)
+        edge = 1e-4 * (hi - lo)  # maximize_eta's boundary band
+        if root is not None and not lo + edge <= root <= hi - edge:
+            continue  # inside, yet close enough to an end to count as it
+        res = maximize_eta(cfg, "xi", (lo, hi), rel_tol=REL_TOL)
+        assert res.boundary == (root is None)
+        if root is None:
+            outside += 1
+            # a falling slope at lo puts the maximum below the bounds
+            end = lo if slope(lo) <= 0.0 else hi
+            assert abs(res.argmax - end) < edge
+    assert outside >= 5  # the seeds reach the case under test
+
+
+def test_mu_optimum_maps_to_the_same_xi():
+    # eta sees mu only through xi = w mu / r_p, so mu* = xi* r_p / w
+    for cfg, (lo, hi) in seeded_cases(4, 40):
+        root = derivative_root(slope_of(cfg), lo, hi)
+        if root is None:
+            continue
+        scale = cfg.pump_waist / cfg.fiber_mode_radius
+        res = maximize_eta(cfg, "mu", (lo * scale, hi * scale),
+                           rel_tol=REL_TOL)
+        assert abs(res.argmax / scale - root) <= REL_TOL * root
+
+
+def test_ceiling_is_non_increasing_in_length():
+    # a longer crystal never couples better at its best xi; where eta ~ 1
+    # two lengths may differ by roundoff alone
+    rng = random.Random(5)
+    lengths = [10.0 * 1.2 ** k for k in range(60)]
+    for _ in range(20):
+        walkoffs = WalkOffSet(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2),
+                              rng.uniform(0.0, 0.2))
+        pump_waist = math.exp(rng.uniform(math.log(3.0), math.log(1e3)))
+        etas = [eta for _, eta in ceiling_scan(pump_waist, walkoffs, lengths)]
+        assert all(b <= a * (1.0 + 1e-15) for a, b in zip(etas, etas[1:]))

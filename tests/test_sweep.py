@@ -239,3 +239,71 @@ def test_curve_raises_first_failing_row_in_l_major_order(l_grid, mu_values,
         efficiency_curve(spec)
     assert str(got.value) == first_row_error(spec)
     assert expected in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# sweep inputs follow core's number rule
+# ---------------------------------------------------------------------------
+
+PAST_FLOAT_RANGE = "must be finite, got a number past the float range"
+
+
+def test_sweep_grid_past_float_range_is_domain_error():
+    cfg = reference_config()
+    with pytest.raises(DomainError, match=f"^l_grid {PAST_FLOAT_RANGE}$"):
+        SweepSpec(l_grid=(10 ** 400,), mu_values=(49.0,), fixed=cfg)
+    with pytest.raises(DomainError, match=f"^mu_values {PAST_FLOAT_RANGE}$"):
+        SweepSpec(l_grid=(1000.0,), mu_values=(49, 10 ** 400), fixed=cfg)
+    with pytest.raises(DomainError, match=f"^l_grid {PAST_FLOAT_RANGE}$"):
+        ceiling_scan(53.0, REFERENCE_WALKOFFS, [1000.0, 10 ** 400])
+
+
+def test_maximize_bound_past_float_range_is_domain_error():
+    with pytest.raises(DomainError, match=f"^bounds {PAST_FLOAT_RANGE}$"):
+        maximize_eta(reference_config(), "xi", (0.1, 10 ** 400))
+
+
+def test_sweep_grid_text_is_domain_error():
+    # as core refuses ceiling_scan("53", ...), the grids refuse text too
+    cfg = reference_config()
+    with pytest.raises(DomainError,
+                       match=r"^l_grid must be a number, got '1000'$"):
+        SweepSpec(l_grid=("1000", "2000"), mu_values=(49.0,), fixed=cfg)
+    with pytest.raises(DomainError,
+                       match=r"^mu_values must be a number, got b'49'$"):
+        SweepSpec(l_grid=(1000.0,), mu_values=(b"49",), fixed=cfg)
+    with pytest.raises(DomainError,
+                       match=r"^l_grid must be a number, got '1000'$"):
+        ceiling_scan(53.0, REFERENCE_WALKOFFS, ["1000"])
+    with pytest.raises(DomainError, match="^pump_waist must be a number"):
+        ceiling_scan("53", REFERENCE_WALKOFFS, [1000.0])
+
+
+def test_maximize_bound_text_is_domain_error():
+    with pytest.raises(DomainError,
+                       match=r"^bounds must be a number, got '0.1'$"):
+        maximize_eta(reference_config(), "xi", ("0.1", "10"))
+
+
+def test_sweep_inputs_take_ints_as_floats():
+    # non-float numbers still convert; only text and overflow are refused
+    cfg = reference_config()
+    spec = SweepSpec(l_grid=(1000, 3000), mu_values=(49,), fixed=cfg)
+    assert spec.l_grid == (1000.0, 3000.0)
+    assert all(type(v) is float for v in spec.l_grid + spec.mu_values)
+    assert (maximize_eta(cfg, "xi", (1, 10))
+            == maximize_eta(cfg, "xi", (1.0, 10.0)))
+    assert (ceiling_scan(53.0, REFERENCE_WALKOFFS, [1000])
+            == ceiling_scan(53.0, REFERENCE_WALKOFFS, [1000.0]))
+
+
+def test_non_finite_float_grid_keeps_the_grid_message():
+    # floats skip the number rule, so the grid's own check speaks for them
+    cfg = reference_config()
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(DomainError) as exc:
+            SweepSpec(l_grid=(1000.0,), mu_values=(bad,), fixed=cfg)
+        assert str(exc.value) == "mu_values values must be positive and finite"
+    with pytest.raises(DomainError) as exc:
+        maximize_eta(cfg, "xi", (0.1, float("inf")))
+    assert str(exc.value) == "bounds must satisfy 0 < lo < hi, got (0.1, inf)"
