@@ -120,10 +120,12 @@ def sigma_over_erf(sigma: float) -> float:
 
 def _require_finite(name: str, value: float) -> float:
     if type(value) is not float:  # a float, the common case, needs none
-        if isinstance(value, (str, bytes)):  # float() would parse them
-            raise DomainError(f"{name} must be a number, got {value!r}")
         try:
+            if isinstance(value, (str, bytes)):  # float() would parse them
+                raise TypeError
             value = float(value)
+        except TypeError:  # text, None, a complex, a container, ...
+            raise DomainError(f"{name} must be a number, got {value!r}") from None
         except OverflowError:  # an int or Fraction past the float range
             raise DomainError(
                 f"{name} must be finite, got a number past the float range"

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import ExperimentConfig, WalkOffSet
@@ -67,6 +68,14 @@ class QuadratureSpec:
     target_rel_err: float = 1e-5
 
     def __post_init__(self):
+        for name in ("n_tau", "n_trans"):
+            n = getattr(self, name)
+            try:
+                if isinstance(n, bool):  # an int, but not a count
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(n))
+            except TypeError:  # a float, None, text, ...
+                raise DomainError(f"{name} must be an integer, got {n!r}") from None
         if self.n_tau < 8:
             raise DomainError(f"n_tau must be >= 8, got {self.n_tau}")
         if self.n_trans < 16:

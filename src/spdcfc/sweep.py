@@ -45,11 +45,23 @@ class SweepSpec:
         object.__setattr__(self, "l_grid", _validated_grid("l_grid", self.l_grid))
         object.__setattr__(self, "mu_values",
                            _validated_grid("mu_values", self.mu_values))
+        if not isinstance(self.fixed, ExperimentConfig):
+            raise DomainError("fixed must be an ExperimentConfig")
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    length: float  # um
+    """One point of an efficiency curve.
+
+    length: crystal length L in um.
+    mu: inverse magnification of the fiber mode onto the crystal.
+    xi: w*mu/r_p at that mu, with w and r_p in um.
+    eta: closed-form coupling efficiency, in (0, 1].
+
+    efficiency_curve returns its rows in L-major order.
+    """
+
+    length: float
     mu: float
     xi: float
     eta: float
@@ -57,6 +69,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The rows of an efficiency curve, in L-major order: every mu of the
+    first length, then every mu of the next.  Each row's eta is checked
+    to lie in (0, 1]."""
+
     rows: tuple[SweepRow, ...]
 
     def __post_init__(self):
@@ -106,6 +122,11 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
             failed = mu, exc
             break
     rows = []
+    # a row gets its __dict__, in field order, in one step instead of
+    # through the frozen __init__, which pays one object.__setattr__ per
+    # field; SweepRow has no __post_init__, so no check is skipped, and
+    # the type is unchanged
+    new, set_dict = object.__new__, object.__setattr__
     for length in spec.l_grid:
         ratio = length / rp
         for mu, xi, prefactor, kc, k1, k2 in columns:
@@ -113,7 +134,10 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
                 eta = _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
             except DomainError as exc:
                 raise _row_error(length, mu, exc) from exc
-            rows.append(SweepRow(length, mu, xi, eta))
+            row = new(SweepRow)
+            set_dict(row, "__dict__",
+                     {"length": length, "mu": mu, "xi": xi, "eta": eta})
+            rows.append(row)
         if failed:
             mu, exc = failed
             raise _row_error(length, mu, exc) from exc
@@ -152,9 +176,11 @@ def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
     return eta_at
 
 
-def _refine(variable: str, eta_at, lo: float, hi: float, grid: list[float],
-            grid_etas: list[float], rel_tol: float) -> OptResult:
-    # golden section around the best pre-scan point of grid on [lo, hi]
+def _refine(eta_at, grid: list[float], grid_etas: list[float],
+            rel_tol: float) -> tuple[float, float, tuple[float, float], int]:
+    # golden section around the best pre-scan point of grid; returns
+    # (argmax, eta_max, bracket, iterations), with eta_max already
+    # checked to lie in (0, 1] by the closed form
     best = max(range(_N_PRESCAN), key=grid_etas.__getitem__)
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _N_PRESCAN - 1)]
@@ -180,10 +206,7 @@ def _refine(variable: str, eta_at, lo: float, hi: float, grid: list[float],
     candidates = [(eta_at(mid), mid), (f1, x1), (f2, x2),
                   (grid_etas[best], grid[best])]
     eta_max, argmax = max(candidates)
-    edge = 1e-4 * (hi - lo)
-    return OptResult(variable=variable, argmax=argmax, eta_max=eta_max,
-                     bracket=bracket, iterations=iterations,
-                     boundary=(argmax - lo) < edge or (hi - argmax) < edge)
+    return argmax, eta_max, bracket, iterations
 
 
 def maximize_eta(cfg: ExperimentConfig, variable: str,
@@ -199,6 +222,9 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     lo, hi = _as_floats("bounds", bounds)
     if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    rel_tol = _require_finite("rel_tol", rel_tol)
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"rel_tol must be in (0, 1), got {rel_tol}")
     # both ends must make a valid configuration; the points in between
     # then only need the shape checks of the closed form
     _with_variable(cfg, variable, lo)
@@ -223,8 +249,12 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
         eta_at = _eta_of_xi(length, rp, w, ab)
 
     grid = _prescan_grid(lo, hi)
-    return _refine(variable, eta_at, lo, hi, grid, [eta_at(v) for v in grid],
-                   rel_tol)
+    argmax, eta_max, bracket, iterations = _refine(
+        eta_at, grid, [eta_at(v) for v in grid], rel_tol)
+    edge = 1e-4 * (hi - lo)
+    return OptResult(variable=variable, argmax=argmax, eta_max=eta_max,
+                     bracket=bracket, iterations=iterations,
+                     boundary=(argmax - lo) < edge or (hi - argmax) < edge)
 
 
 def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
@@ -253,7 +283,7 @@ def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
         ratio = length / pump_waist
         grid_etas = [_eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
                      for prefactor, kc, k1, k2 in terms]
-        res = _refine("xi", _eta_of_xi(length, pump_waist, 1.0, ab), lo, hi,
-                      xi_grid, grid_etas, 1e-6)
-        out.append((length, res.eta_max))
+        eta_max = _refine(_eta_of_xi(length, pump_waist, 1.0, ab), xi_grid,
+                          grid_etas, 1e-6)[1]
+        out.append((length, eta_max))
     return tuple(out)

@@ -434,6 +434,24 @@ def test_text_is_not_a_number(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ExperimentConfig(None, 53.0, 1.48, 49.0, REFERENCE_WALKOFFS),
+     "crystal_length must be a number, got None"),
+    (lambda: ExperimentConfig(3000.0, 53.0, [1.48], 49.0, REFERENCE_WALKOFFS),
+     "fiber_mode_radius must be a number, got [1.48]"),
+    (lambda: WalkOffSet(1j, 0.0, 0.0), "m_p must be a number, got 1j"),
+    (lambda: mode_field_radius(None), "mfd must be a number, got None"),
+    (lambda: magnification(15.4, object), "d_bl must be a number, got "
+     "<class 'object'>"),
+], ids=["length-none", "radius-list", "walkoff-complex", "mfd-none",
+        "distance-type"])
+def test_non_number_is_domain_error_naming_the_field(build, message):
+    # float() raises TypeError on these; the error names the field instead
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # a number past the float range is a domain error
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Quadrature oracle against the closed form and its own invariants."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +50,35 @@ def test_quadrature_spec_validation():
         QuadratureSpec(extent_factor=3.0)
     with pytest.raises(DomainError):
         QuadratureSpec(target_rel_err=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_tau", 64.5), ("n_trans", 16.5), ("n_tau", 64.0), ("n_tau", None),
+    ("n_trans", "96"), ("n_tau", True)])
+def test_quadrature_spec_grid_sizes_are_integers(field, value):
+    with pytest.raises(DomainError) as exc:
+        QuadratureSpec(**{field: value})
+    assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_quadrature_spec_takes_numpy_integers_as_ints():
+    spec = QuadratureSpec(n_tau=np.int64(64), n_trans=np.int32(96))
+    assert spec == QuadratureSpec()
+    assert type(spec.n_tau) is int and type(spec.n_trans) is int
+
+
+def test_quadrature_spec_grid_size_checked_before_numpy_loads():
+    code = ("import sys\n"
+            "from spdcfc.oracle import QuadratureSpec\n"
+            "from spdcfc.errors import DomainError\n"
+            "try:\n"
+            "    QuadratureSpec(n_tau=64.5)\n"
+            "except DomainError as exc:\n"
+            "    print(exc, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "n_tau must be an integer, got 64.5 False\n"
 
 
 def test_quadrature_spec_grid_caps():

@@ -1,11 +1,14 @@
 """Curve tabulation and scalar maximization."""
 
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 
 from spdcfc import (
     ExperimentConfig,
+    SweepRow,
     SweepSpec,
     WalkOffSet,
     ceiling_scan,
@@ -14,6 +17,7 @@ from spdcfc import (
     maximize_eta,
 )
 from spdcfc.errors import DomainError
+from spdcfc import sweep
 from spdcfc.sweep import _with_variable
 
 from conftest import REFERENCE_WALKOFFS, reference_config
@@ -307,3 +311,54 @@ def test_non_finite_float_grid_keeps_the_grid_message():
     with pytest.raises(DomainError) as exc:
         maximize_eta(cfg, "xi", (0.1, float("inf")))
     assert str(exc.value) == "bounds must satisfy 0 < lo < hi, got (0.1, inf)"
+
+
+def test_curve_rows_behave_as_rows_built_by_init():
+    spec = SweepSpec(l_grid=(1000.0, 3000.0), mu_values=(25.0, 49.0),
+                     fixed=reference_config())
+    for row in efficiency_curve(spec).rows:
+        built = SweepRow(row.length, row.mu, row.xi, row.eta)
+        assert type(row) is SweepRow
+        assert row == built and hash(row) == hash(built)
+        assert repr(row) == repr(built)
+        assert list(vars(row)) == list(vars(built)) == [
+            "length", "mu", "xi", "eta"]
+        assert pickle.loads(pickle.dumps(row)) == built
+        assert copy.deepcopy(row) == built
+        assert asdict(row) == asdict(built)
+        assert replace(row, eta=0.5) == replace(built, eta=0.5)
+        with pytest.raises(FrozenInstanceError):
+            row.eta = 0.5
+        with pytest.raises(FrozenInstanceError):
+            del row.mu
+
+
+def test_maximize_eta_still_checks_its_result(monkeypatch):
+    # the closed form never returns an eta outside (0, 1]; a stand-in that
+    # does must be caught by OptResult, which maximize_eta still builds
+    monkeypatch.setattr(sweep, "_eta", lambda *args: 0.0)
+    with pytest.raises(DomainError, match=r"^eta_max must be in \(0, 1\]"):
+        maximize_eta(reference_config(), "xi", (0.1, 10.0))
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1.0,
+                                     1.0, 2.0, "1e-6", None])
+def test_maximize_rejects_bad_rel_tol(rel_tol):
+    with pytest.raises(DomainError, match="^rel_tol must be"):
+        maximize_eta(reference_config(), "xi", (0.1, 10.0), rel_tol=rel_tol)
+
+
+def test_maximize_default_rel_tol_unchanged():
+    cfg = reference_config()
+    res = maximize_eta(cfg, "xi", (0.1, 10.0))
+    assert res == maximize_eta(cfg, "xi", (0.1, 10.0), rel_tol=1e-6)
+    assert res.argmax == pytest.approx(1.09004, abs=1e-5)
+    coarse = maximize_eta(cfg, "xi", (0.1, 10.0), rel_tol=1e-3)
+    assert 0 < coarse.iterations < res.iterations
+
+
+@pytest.mark.parametrize("fixed", [None, 3000.0, REFERENCE_WALKOFFS])
+def test_spec_rejects_fixed_that_is_not_a_config(fixed):
+    with pytest.raises(DomainError,
+                       match="^fixed must be an ExperimentConfig$"):
+        SweepSpec(l_grid=(1000.0,), mu_values=(49.0,), fixed=fixed)
