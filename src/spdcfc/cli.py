@@ -225,10 +225,10 @@ def _resolve_quadrature(args, doc: dict) -> QuadratureSpec:
     return QuadratureSpec(
         n_tau=int(_pick(args.n_tau, qdoc, "n_tau", defaults)),
         n_trans=int(_pick(args.n_trans, qdoc, "n_trans", defaults)),
-        extent_factor=float(_pick(args.extent_factor, qdoc, "extent_factor",
-                                  defaults)),
-        target_rel_err=float(_pick(args.target_rel_err, qdoc,
-                                   "target_rel_err", defaults)))
+        extent_factor=_pick(args.extent_factor, qdoc, "extent_factor",
+                            defaults),
+        target_rel_err=_pick(args.target_rel_err, qdoc, "target_rel_err",
+                             defaults))
 
 
 def _config_doc(cfg: ExperimentConfig) -> dict:
@@ -242,29 +242,22 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_numbers(text: str, flag: str, form: str) -> list[float]:
+    # the finite numbers of a flag value that looks like form, e.g. lo:hi
     parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{what} must look like lo:hi, got {text!r}")
+    if len(parts) != form.count(":") + 1:
+        raise UsageError(f"{flag} must look like {form}, got {text!r}")
     try:
-        lo, hi = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"{what} must be numeric, got {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"{what} must be finite, got {text!r}")
-    return lo, hi
+        raise UsageError(f"{flag} must be numeric, got {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} must be finite, got {text!r}")
+    return values
 
 
 def _parse_l_range_mm(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--L-range must look like lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"--L-range must be numeric, got {text!r}") from exc
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise UsageError(f"--L-range must be finite, got {text!r}")
+    lo, hi, step = _parse_numbers(text, "--L-range", "lo:hi:step")
     if lo <= 0.0 or step <= 0.0 or hi < lo:
         raise UsageError(f"--L-range is empty or invalid: {text!r}")
     intervals = (hi - lo) / step + 1e-9  # may overflow to inf
@@ -351,7 +344,7 @@ def _cmd_optimize(args) -> int:
     from .sweep import maximize_eta
 
     doc = _load_config_doc(args.config) if args.config else {}
-    lo, hi = _parse_pair(args.bounds, "--bounds")
+    lo, hi = _parse_numbers(args.bounds, "--bounds", "lo:hi")
     if lo <= 0.0 or hi <= lo:
         raise UsageError(
             f"--bounds must satisfy 0 < lo < hi for {args.var}, got {args.bounds!r}")

@@ -85,18 +85,20 @@ DEFAULT_MU_VALUES = (25.0, 35.0, 49.0, 60.0, 80.0)
 # ---------------------------------------------------------------------------
 
 def erf(x: float) -> float:
-    """Error function, ``math.erf`` with NaN rejected as a domain error."""
-    if math.isnan(x):
-        raise DomainError("erf argument is NaN")
-    return math.erf(x)
+    """Error function, ``math.erf``: +-1 at +-inf, and a domain error for
+    NaN or a non-number."""
+    if x != _INF and x != -_INF:
+        x = _require_finite("x", x)
+    return _erf(x)
 
 
 def erf_over_sigma(sigma: float) -> float:
     """erf(sigma)/sigma, continued through sigma = 0 by its Taylor series.
 
-    Returns 2/sqrt(pi) at sigma = 0 and decays monotonically to 0.
+    Returns 2/sqrt(pi) at sigma = 0 and decays monotonically to 0 at
+    sigma = inf.
     """
-    if math.isnan(sigma) or sigma < 0.0:
+    if not (sigma == _INF or _require_finite("sigma", sigma) >= 0.0):
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     return _erf_over_sigma(sigma)
 
@@ -121,7 +123,8 @@ def sigma_over_erf(sigma: float) -> float:
 def _require_finite(name: str, value: float) -> float:
     if type(value) is not float:  # a float, the common case, needs none
         try:
-            if isinstance(value, (str, bytes)):  # float() would parse them
+            # float() would parse these as text
+            if isinstance(value, (str, bytes, bytearray, memoryview)):
                 raise TypeError
             value = float(value)
         except TypeError:  # text, None, a complex, a container, ...

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
-from .core import DEFAULT_CUT_ANGLE_DEG, WalkOffSet
+from .core import DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _require_finite
 from .errors import DomainError, WavelengthRangeError
 
 # Central-difference step for group-index derivatives: 1 nm.
@@ -39,6 +39,7 @@ class IndexModel:
 
     ``ordinary`` and ``extraordinary`` are sellmeier-1 coefficient lists
     [c0, c1, c2, c3]; ``range_um`` is the wavelength validity interval.
+    All three are stored as tuples of floats.
     """
 
     material: str
@@ -51,15 +52,13 @@ class IndexModel:
     def __post_init__(self):
         if self.form != "sellmeier-1":
             raise DomainError(f"unsupported dispersion form {self.form!r}")
-        object.__setattr__(self, "ordinary", tuple(float(c) for c in self.ordinary))
-        object.__setattr__(self, "extraordinary",
-                           tuple(float(c) for c in self.extraordinary))
-        if len(self.ordinary) != 4 or len(self.extraordinary) != 4:
-            raise DomainError("sellmeier-1 takes exactly 4 coefficients")
-        lo, hi = (float(v) for v in self.range_um)
+        for name, size in (("ordinary", 4), ("extraordinary", 4),
+                           ("range_um", 2)):
+            object.__setattr__(self, name,
+                               _numbers(name, getattr(self, name), size))
+        lo, hi = self.range_um
         if not 0.0 < lo < hi:
             raise DomainError(f"invalid validity range [{lo}, {hi}]")
-        object.__setattr__(self, "range_um", (lo, hi))
         # n real and > 1 across the range, and n_o >= n_e (negative
         # uniaxial or isotropic; positive uniaxial is out of scope).
         for lam in [lo + (hi - lo) * k / 32.0 for k in range(33)]:
@@ -72,6 +71,15 @@ class IndexModel:
                 raise DomainError(
                     f"{self.material}: n_o < n_e at {lam:.4f} um; "
                     "only negative uniaxial crystals are supported")
+
+
+def _numbers(name: str, values, size: int) -> tuple[float, ...]:
+    # a list or tuple of size numbers, each through core's rule
+    if not isinstance(values, (list, tuple)) or len(values) != size:
+        raise DomainError(
+            f"{name} must be a list of {size} numbers, got {values!r:.60}")
+    return tuple(_require_finite(f"{name}[{k}]", v)
+                 for k, v in enumerate(values))
 
 
 def _sellmeier1(coeffs: tuple[float, ...], lam: float) -> float:
@@ -139,6 +147,9 @@ class PhaseMatchGeometry:
     external_cone_angle: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not float:  # a NaN float gets the messages below
+                _require_finite(name, value)
         if not self.pump_wavelength > 0.0:  # NaN included
             raise DomainError("pump_wavelength must be > 0")
         if not math.isclose(self.degenerate_wavelength,
@@ -153,6 +164,9 @@ class PhaseMatchGeometry:
     @classmethod
     def degenerate(cls, pump_wavelength: float, cut_angle: float,
                    external_cone_angle: float) -> "PhaseMatchGeometry":
+        if type(pump_wavelength) is not float:  # before it is doubled
+            pump_wavelength = _require_finite("pump_wavelength",
+                                              pump_wavelength)
         return cls(pump_wavelength, 2.0 * pump_wavelength, cut_angle,
                    external_cone_angle)
 
@@ -170,10 +184,8 @@ class TemporalParams:
     lam: float
 
     def __post_init__(self):
-        for name in ("d", "lam"):
-            v = float(getattr(self, name))
-            if math.isnan(v) or math.isinf(v):
-                raise DomainError(f"{name} must be finite, got {v}")
+        for name, value in vars(self).items():
+            _require_finite(name, value)
 
 
 def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
@@ -183,7 +195,7 @@ def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
     sine of the internal angle, sin(asin(sin(ext)/n_bar)).  n_bar = 1
     is allowed as the vacuum (no-refraction) limit.
     """
-    if n_bar < 1.0:
+    if _require_finite("n_bar", n_bar) < 1.0:
         raise DomainError(f"n_bar must be >= 1, got {n_bar}")
     s = math.sin(geometry.external_cone_angle) / n_bar
     if abs(s) >= 1.0:
@@ -205,6 +217,8 @@ def group_delay_params(model: IndexModel, geometry: PhaseMatchGeometry,
     central difference of the index model (default step 1 nm); the pump
     travels as an extraordinary ray at the cut angle.
     """
+    if _require_finite("step", step) <= 0.0:
+        raise DomainError(f"step must be > 0, got {step}")
     lam_p = geometry.pump_wavelength
     lam_d = geometry.degenerate_wavelength
     theta = geometry.cut_angle
@@ -245,27 +259,35 @@ def phase_match_angle(model: IndexModel, pump_wavelength: float,
     """Collinear degenerate type-II phase-matching angle, by bisection.
 
     Solves n_e(theta, lam_p) = (n_o(2 lam_p) + n_e(theta, 2 lam_p)) / 2
-    on the bracket (degrees); returns theta in radians.
+    on the bracket (degrees, 0 < lo < hi < 90) to within tol_rad > 0;
+    returns theta in radians.
     """
-    lam_p = pump_wavelength
-    lam_d = 2.0 * pump_wavelength
+    lam_p = _require_finite("pump_wavelength", pump_wavelength)
+    lam_d = 2.0 * lam_p
+    lo, hi = (_require_finite("bracket_deg", v) for v in bracket_deg)
+    if not 0.0 < lo < hi < 90.0:
+        raise DomainError(
+            f"bracket_deg must satisfy 0 < lo < hi < 90, got ({lo}, {hi})")
+    if _require_finite("tol_rad", tol_rad) <= 0.0:
+        raise DomainError(f"tol_rad must be > 0, got {tol_rad}")
 
     def mismatch(theta: float) -> float:
         return (extraordinary_index(model, lam_p, theta)
                 - 0.5 * (ordinary_index(model, lam_d)
                          + extraordinary_index(model, lam_d, theta)))
 
-    a, b = (math.radians(v) for v in bracket_deg)
+    a, b = math.radians(lo), math.radians(hi)
     fa, fb = mismatch(a), mismatch(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
-        raise DomainError(
-            f"no phase-matching angle in [{bracket_deg[0]}, {bracket_deg[1]}] deg")
+        raise DomainError(f"no phase-matching angle in [{lo}, {hi}] deg")
     while b - a > tol_rad:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:  # adjacent floats: tol_rad below spacing
+            break
         fm = mismatch(mid)
         if fm == 0.0:
             return mid
@@ -294,28 +316,24 @@ def load_index_model(path: str | Path) -> IndexModel:
 
 
 def _model_from_doc(doc: dict, origin: str) -> IndexModel:
+    # the file's structure and the intersection of the two polarizations'
+    # ranges, read with IndexModel's own check; IndexModel checks the rest
     try:
-        material = doc["material"]
-        pols = {pol: doc[pol] for pol in ("ordinary", "extraordinary")}
-    except (KeyError, TypeError) as exc:
+        o, e = doc["ordinary"], doc["extraordinary"]
+        o_lo, o_hi = _numbers("ordinary.range_um", o["range_um"], 2)
+        e_lo, e_hi = _numbers("extraordinary.range_um", e["range_um"], 2)
+        return IndexModel(
+            material=doc["material"], ordinary=o["coeffs"],
+            extraordinary=e["coeffs"],
+            range_um=(max(o_lo, e_lo), min(o_hi, e_hi)),
+            citation=str(doc.get("citation", "")),
+            # one form, or the two joined, which IndexModel refuses
+            form=" and ".join(sorted({p.get("form", "sellmeier-1")
+                                      for p in (o, e)})))
+    except DomainError as exc:
+        raise DomainError(f"{origin}: {exc}") from None
+    except (AttributeError, KeyError, TypeError) as exc:
         raise DomainError(f"{origin}: malformed Sellmeier file: {exc}") from exc
-    forms = {pols[p].get("form", "sellmeier-1") for p in pols}
-    if forms != {"sellmeier-1"}:
-        raise DomainError(f"{origin}: unsupported dispersion form {forms}")
-    try:
-        coeffs = {p: tuple(float(c) for c in pols[p]["coeffs"]) for p in pols}
-        ranges = {p: tuple(float(v) for v in pols[p]["range_um"]) for p in pols}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"{origin}: malformed Sellmeier file: {exc}") from exc
-    lo = max(ranges["ordinary"][0], ranges["extraordinary"][0])
-    hi = min(ranges["ordinary"][1], ranges["extraordinary"][1])
-    if not lo < hi:
-        raise DomainError(f"{origin}: polarization ranges do not overlap")
-    return IndexModel(material=material,
-                      ordinary=coeffs["ordinary"],
-                      extraordinary=coeffs["extraordinary"],
-                      range_um=(lo, hi),
-                      citation=str(doc.get("citation", "")))
 
 
 def bundled_bbo() -> IndexModel:

@@ -41,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import ExperimentConfig, WalkOffSet
+from .core import ExperimentConfig, WalkOffSet, _require_finite
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -86,13 +86,11 @@ class QuadratureSpec:
                 f"grid too large: n_tau={self.n_tau}, n_trans={self.n_trans} "
                 f"(n_tau <= {MAX_N_TAU}, n_tau * n_trans <= "
                 f"{MAX_GRID_POINTS // 16})")
-        if not math.isfinite(self.extent_factor):
-            raise DomainError(
-                f"extent_factor must be finite, got {self.extent_factor}")
-        if self.extent_factor < 4.0:
+        if _require_finite("extent_factor", self.extent_factor) < 4.0:
             raise DomainError(
                 f"extent_factor must be >= 4, got {self.extent_factor}")
-        if not 0.0 < self.target_rel_err < 1.0:
+        if not 0.0 < _require_finite("target_rel_err",
+                                     self.target_rel_err) < 1.0:
             raise DomainError("target_rel_err must be in (0, 1)")
 
 
