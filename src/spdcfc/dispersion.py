@@ -88,22 +88,27 @@ def _sellmeier1(coeffs: tuple[float, ...], lam: float) -> float:
     return c0 + c1 / (l2 - c2) - c3 * l2
 
 
-def _check_range(model: IndexModel, lam: float) -> None:
+def _check_range(model: IndexModel, lam: float) -> float:
+    # returns lam; a non-float is read through core's rule, while a float
+    # keeps its bits (and a NaN float its range message)
+    if type(lam) is not float:
+        lam = _require_finite("lam", lam)
     lo, hi = model.range_um
     if not lo <= lam <= hi:
         raise WavelengthRangeError(
             f"{lam} um outside validity range [{lo}, {hi}] of {model.material}")
+    return lam
 
 
 def ordinary_index(model: IndexModel, lam: float) -> float:
     """Ordinary principal index n_o(lambda)."""
-    _check_range(model, lam)
+    lam = _check_range(model, lam)
     return math.sqrt(_sellmeier1(model.ordinary, lam))
 
 
 def principal_extraordinary_index(model: IndexModel, lam: float) -> float:
     """Extraordinary principal index n_e(lambda) at 90 deg to the axis."""
-    _check_range(model, lam)
+    lam = _check_range(model, lam)
     return math.sqrt(_sellmeier1(model.extraordinary, lam))
 
 
@@ -113,7 +118,9 @@ def extraordinary_index(model: IndexModel, lam: float, theta: float) -> float:
     1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2; equals n_o at
     theta = 0 and the principal n_e at theta = pi/2.
     """
-    _check_range(model, lam)
+    lam = _check_range(model, lam)
+    if type(theta) is not float:
+        theta = _require_finite("theta", theta)
     n_o2 = _sellmeier1(model.ordinary, lam)
     n_e2 = _sellmeier1(model.extraordinary, lam)
     c, s = math.cos(theta), math.sin(theta)
@@ -126,7 +133,9 @@ def walk_off_tangent(model: IndexModel, lam: float, theta: float) -> float:
     tan(rho) = (n_e(theta)^2 / 2) sin(2 theta) (1/n_e^2 - 1/n_o^2),
     returned as a magnitude; zero along and perpendicular to the axis.
     """
-    _check_range(model, lam)
+    lam = _check_range(model, lam)
+    if type(theta) is not float:
+        theta = _require_finite("theta", theta)
     n_o2 = _sellmeier1(model.ordinary, lam)
     n_e2 = _sellmeier1(model.extraordinary, lam)
     n2 = extraordinary_index(model, lam, theta) ** 2

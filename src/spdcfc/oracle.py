@@ -27,8 +27,11 @@ relative error comes from doubling every grid.  The Gauss-Legendre rule
 is built once per size and cached.  Each product of depth-shifted
 Gaussians takes one exponential over the grid, of its combined
 quadratic exponent; the unshifted factors and the trapezoid weights
-enter the row sums as one vector.  Results are deterministic for a
-fixed QuadratureSpec (fixed summation order).
+enter the row sums as one vector.  The shifted differences (exact) and
+the row sums are BLAS matrix products, and the row sums add in the BLAS
+build's order: results are deterministic for a fixed QuadratureSpec on
+one numpy/BLAS build, and the tests check that they do not depend on
+the number of BLAS threads.
 
 numpy is imported inside the functions that integrate, so importing
 this module (and the package) does not load it; only a quadrature does.
@@ -155,21 +158,42 @@ def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
     return x, weights
 
 
+def _shifted_differences(taus: np.ndarray, x: np.ndarray,
+                         rate: float) -> np.ndarray:
+    """x - rate * taus[:, None], built as the product [1, s] @ [[x], [-1]].
+
+    BLAS fills the matrix faster than numpy's broadcast loop (~2.8x at
+    128x192, ~1.4x at 64x96).  Each entry is 1 * x_j + s_i * (-1): both
+    products are exact, so with or without FMA the sum is rounded once
+    and the entries are bit-identical to the broadcast difference.
+    """
+    import numpy as np
+
+    left = np.empty((taus.size, 2))
+    left[:, 0] = 1.0
+    np.multiply(taus, rate, out=left[:, 1])
+    right = np.empty((2, x.size))
+    right[0] = x
+    right[1] = -1.0
+    return left @ right
+
+
 def _gauss_rows(taus: np.ndarray, x: np.ndarray, vec: np.ndarray,
                 coef: float, rate: float) -> np.ndarray:
     """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau.
 
     The oracle's one 2-D kernel, worked in place: a fresh 2-D temporary
-    per step costs more than its arithmetic.
+    per step costs more than its arithmetic.  The row sums are one
+    matrix-vector product; the square stays a square of the exact
+    difference, since expanding it cancels near the Gaussian's peak.
     """
     import numpy as np
 
-    rows = x - rate * taus[:, None]
+    rows = _shifted_differences(taus, x, rate)
     rows *= rows
     rows *= -coef
     np.exp(rows, out=rows)
-    rows *= vec
-    return rows.sum(axis=1)
+    return rows @ vec
 
 
 def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:

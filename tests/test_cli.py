@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, formats and exit codes."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -427,6 +428,39 @@ def test_oracle_oversized_grid_is_domain_error(capsys):
                                   *flags], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: grid too large") and err.count("\n") == 1
+
+
+def test_oracle_nine_digits_on_reference_point(capsys):
+    # the README example: quadrature and closed form agree to 9 digits
+    code, out, _ = run_cli(["oracle", "--L-mm", "3", *REFERENCE_FLAGS], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "eta_closed    = 0.435079926" in lines
+    assert "eta_numeric   = 0.435079926" in lines
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("extra", [[], ["--target-rel-err", "1e-300"]],
+                         ids=["converges", "level-2-failure"])
+def test_oracle_output_independent_of_blas_threads(extra):
+    pytest.importorskip("numpy")
+    args = [sys.executable, "-m", "spdcfc", "oracle", "--L-mm", "3",
+            *REFERENCE_FLAGS, "--format", "json", *extra]
+    default_env = {k: v for k, v in os.environ.items()
+                   if k not in BLAS_THREAD_VARS}  # BLAS picks its own count
+    runs = [subprocess.run(args, env=env, capture_output=True)
+            for env in ({**default_env, "OPENBLAS_NUM_THREADS": "1"},
+                        default_env)]
+    one, default = runs
+    assert one.returncode == default.returncode == (1 if extra else 0)
+    assert one.stdout == default.stdout and one.stdout
+    assert one.stderr == default.stderr
+    if extra:
+        assert default.stderr.startswith(b"error: oracle did not converge")
+        assert default.stderr.count(b"\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ colon-separated list into exit 2 with one line."""
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,13 +20,17 @@ from spdcfc import (
     bundled_bbo,
     erf,
     erf_over_sigma,
+    extraordinary_index,
     group_delay_params,
     load_index_model,
+    ordinary_index,
     phase_match_angle,
+    principal_extraordinary_index,
     q_over_kbar,
+    walk_off_tangent,
 )
 from spdcfc.cli import main
-from spdcfc.errors import DomainError
+from spdcfc.errors import DomainError, WavelengthRangeError
 from spdcfc.oracle import QuadratureSpec
 
 from conftest import REFERENCE_WALKOFFS
@@ -281,6 +286,60 @@ def test_q_over_kbar_refuses_bad_index(n_bar, message):
     with pytest.raises(DomainError) as exc:
         q_over_kbar(reference_geometry(), n_bar)
     assert str(exc.value) == message
+
+
+# (function, arguments after the model), each at lam = 0.5 um
+INDEX_FUNCTIONS = {
+    "ordinary": (ordinary_index, ()),
+    "principal_extraordinary": (principal_extraordinary_index, ()),
+    "extraordinary": (extraordinary_index, (0.7,)),
+    "walk_off": (walk_off_tangent, (0.7,)),
+}
+ANGLE_FUNCTIONS = {k: INDEX_FUNCTIONS[k] for k in ("extraordinary", "walk_off")}
+
+
+@pytest.mark.parametrize("value, shown", NOT_NUMBERS.values(),
+                         ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("func, rest", INDEX_FUNCTIONS.values(),
+                         ids=INDEX_FUNCTIONS.keys())
+def test_index_functions_refuse_non_number_wavelength(func, rest, value, shown):
+    # text and None were raw TypeErrors from the range check
+    with pytest.raises(DomainError) as exc:
+        func(bundled_bbo(), value, *rest)
+    assert_names(exc, "lam", shown)
+
+
+@pytest.mark.parametrize("value, shown", NOT_NUMBERS.values(),
+                         ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("func, rest", ANGLE_FUNCTIONS.values(),
+                         ids=ANGLE_FUNCTIONS.keys())
+def test_index_functions_refuse_non_number_angle(func, rest, value, shown):
+    # None was a raw TypeError from math.cos
+    with pytest.raises(DomainError) as exc:
+        func(bundled_bbo(), 0.5, value)
+    assert_names(exc, "theta", shown)
+
+
+@pytest.mark.parametrize("func, rest", INDEX_FUNCTIONS.values(),
+                         ids=INDEX_FUNCTIONS.keys())
+def test_index_functions_read_other_numbers_as_floats(func, rest):
+    model = bundled_bbo()
+    expected = func(model, 0.5, *rest)
+    assert func(model, Fraction(1, 2), *rest) == expected
+    if rest:
+        assert func(model, 0.5, Fraction(7, 10)) == expected
+        assert func(model, 1, 0) == func(model, 1.0, 0.0)
+    with pytest.raises(DomainError, match="^lam must be finite, got a "
+                                          "number past the float range$"):
+        func(model, 10 ** 400, *rest)
+
+
+@pytest.mark.parametrize("func, rest", INDEX_FUNCTIONS.values(),
+                         ids=INDEX_FUNCTIONS.keys())
+def test_index_functions_keep_the_float_range_message(func, rest):
+    with pytest.raises(WavelengthRangeError,
+                       match="^nan um outside validity range"):
+        func(bundled_bbo(), math.nan, *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from spdcfc import (
 )
 from spdcfc.errors import ConvergenceError, DomainError
 from spdcfc.oracle import (MAX_GRID_POINTS, MAX_N_TAU, _eta_on_grid,
-                           _gauss_legendre)
+                           _gauss_legendre, _gauss_rows, _shifted_differences)
 
 from conftest import REFERENCE_WALKOFFS, reference_config
 
@@ -166,6 +166,56 @@ def test_density_rejects_out_of_window_depth():
         pair_overlap_density(cfg, -1.0)
     with pytest.raises(DomainError):
         pair_overlap_density(cfg, 3000.1)
+
+
+# ---------------------------------------------------------------------------
+# the 2-D kernel
+# ---------------------------------------------------------------------------
+
+KERNEL_SHAPES = [(1, 96), (64, 96), (128, 192), (256, 384)]
+
+
+def kernel_case(n_tau: int, n_trans: int, peak: str):
+    # a grid of half-width 3 and a Gaussian of 1/e half-width ~0.85; taus in (0, 1],
+    # so the deepest row's peak sits at `rate`: on a grid node, between
+    # two nodes, or past the grid's edge
+    x = np.linspace(-3.0, 3.0, n_trans)
+    rate = {"node": x[3 * n_trans // 4],
+            "between": 0.5 * (x[n_trans // 3] + x[n_trans // 3 + 1]),
+            "past_edge": 4.5}[peak]
+    taus = np.arange(1, n_tau + 1) / n_tau
+    vec = np.exp(-0.1 * x * x) * (x[1] - x[0])
+    return taus, x, vec, 1.4, rate
+
+
+@pytest.mark.parametrize("peak", ["node", "between", "past_edge"])
+@pytest.mark.parametrize("n_tau, n_trans", KERNEL_SHAPES)
+def test_gauss_rows_matches_plain_loop(n_tau, n_trans, peak):
+    taus, x, vec, coef, rate = kernel_case(n_tau, n_trans, peak)
+    got = _gauss_rows(taus, x, vec, coef, rate)
+    assert got.shape == (n_tau,)
+    xs, vs = x.tolist(), vec.tolist()
+    for tau, row in zip(taus.tolist(), got.tolist()):
+        shift = rate * tau
+        expected = math.fsum(v * math.exp(-coef * (xj - shift) ** 2)
+                             for xj, v in zip(xs, vs))
+        assert expected > 0.0
+        assert row == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("peak", ["node", "between", "past_edge"])
+@pytest.mark.parametrize("n_tau, n_trans", KERNEL_SHAPES)
+def test_shifted_differences_equal_the_broadcast(n_tau, n_trans, peak):
+    taus, x, _, _, rate = kernel_case(n_tau, n_trans, peak)
+    rng = np.random.default_rng(n_tau * n_trans)
+    # the kernel's own grids, then grids and shifts whose differences
+    # round: mixed magnitudes and near-equal pairs
+    for xs, r in ((x, rate),
+                  (rng.uniform(-1e3, 1e3, n_trans), rate * 997.13),
+                  (np.sort(rng.standard_normal(n_trans)) * 1e-7,
+                   rng.standard_normal() * 1e-7)):
+        got = _shifted_differences(taus, xs, r)
+        assert np.array_equal(got, xs - r * taus[:, None])
 
 
 # ---------------------------------------------------------------------------
