@@ -380,9 +380,14 @@ def _cmd_oracle(args) -> int:
               file=sys.stderr)
         return 1
     except ConvergenceError as exc:
-        print(f"eta_closed    = {_fmt(eta_closed)}")
-        print(f"eta_numeric   = {_fmt(exc.eta_fine)}   (unconverged)")
-        print(f"est_rel_err   = {_fmt(exc.est_rel_err)}")
+        if args.format == "json":
+            _print_json({"config": _config_doc(cfg), "eta_closed": eta_closed,
+                         "eta_numeric": exc.eta_fine,
+                         "est_rel_err": exc.est_rel_err, "pass": False})
+        else:
+            print(f"eta_closed    = {_fmt(eta_closed)}")
+            print(f"eta_numeric   = {_fmt(exc.eta_fine)}   (unconverged)")
+            print(f"est_rel_err   = {_fmt(exc.est_rel_err)}")
         print(f"error: {exc}", file=sys.stderr)
         return 1
     deviation = abs(oracle.eta_numeric - eta_closed) / eta_closed

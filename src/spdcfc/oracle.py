@@ -27,8 +27,11 @@ relative error comes from doubling every grid.  The Gauss-Legendre rule
 is built once per size and cached.  Each product of depth-shifted
 Gaussians takes one exponential over the grid, of its combined
 quadratic exponent; the unshifted factors and the trapezoid weights
-enter the row sums as one vector.  The shifted differences (exact) and
-the row sums are BLAS matrix products, and the row sums add in the BLAS
+enter the row sums as one vector.  A level stacks its three such
+Gaussians (pair, arm 1, arm 2) into one array when they fit in 1 MiB,
+so each step of the kernel runs once per level; a larger level takes
+its Gaussians one at a time.  The shifted differences (exact) and the
+row sums are BLAS matrix products, and the row sums add in the BLAS
 build's order: results are deterministic for a fixed QuadratureSpec on
 one numpy/BLAS build, and the tests check that they do not depend on
 the number of BLAS threads.
@@ -49,8 +52,19 @@ from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
 # rule (through a (4 n_tau)^2 matrix) and a (4 n_tau) x (4 n_trans) grid.
+# A kernel pass holds one Gaussian block on that grid, or several that
+# fit in _PASS_ELEMENTS, so the refinement's peak allocation is about
+# one block: 32 MiB at the cap.
 MAX_N_TAU = 512
 MAX_GRID_POINTS = 2 ** 22  # elements of that grid, 32 MiB as float64
+
+# float64s per kernel pass, 1 MiB: the three blocks of the default
+# spec's first two levels (at most 576 KiB) stack into one pass, while
+# its third level (768 KiB per block) takes one block per pass.  A stack
+# that spills out of a core's cache costs more per entry than its
+# blocks one by one: that level fully stacked ran ~35% slower on a
+# machine with 2 MiB of L2 per core.
+_PASS_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -60,7 +74,10 @@ class QuadratureSpec:
     n_tau: Gauss-Legendre points along the crystal length, at most
         MAX_N_TAU.
     n_trans: trapezoid points per transverse axis; n_tau * n_trans is
-        at most MAX_GRID_POINTS / 16, the refinements' growth.
+        at most MAX_GRID_POINTS / 16, the refinements' growth.  The
+        last refinement then peaks at about 8 * 16 * n_tau * n_trans
+        bytes (one Gaussian block, or 1 MiB of stacked smaller ones),
+        32 MiB at the cap.
     extent_factor: transverse half-width in units of max(w*mu, r_p).
     target_rel_err: refinement goal for the estimated relative error.
     """
@@ -151,7 +168,13 @@ def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
 
     back_imaged = cfg.fiber_mode_radius * cfg.inverse_magnification
     half_width = extent_factor * max(back_imaged, cfg.pump_waist)
-    x = np.linspace(-half_width, half_width, n_trans)
+    # np.linspace(-half_width, half_width, n_trans) by linspace's own
+    # arithmetic, without its per-call overhead (linspace takes another
+    # formula only when the step underflows to 0, for a half-width of a
+    # few subnormal ulps)
+    x = np.arange(n_trans) * ((half_width + half_width) / (n_trans - 1))
+    x -= half_width
+    x[-1] = half_width
     weights = np.full(n_trans, x[1] - x[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -159,41 +182,64 @@ def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
 
 
 def _shifted_differences(taus: np.ndarray, x: np.ndarray,
-                         rate: float) -> np.ndarray:
+                         rate: float | tuple[float, ...]) -> np.ndarray:
     """x - rate * taus[:, None], built as the product [1, s] @ [[x], [-1]].
 
-    BLAS fills the matrix faster than numpy's broadcast loop (~2.8x at
-    128x192, ~1.4x at 64x96).  Each entry is 1 * x_j + s_i * (-1): both
-    products are exact, so with or without FMA the sum is rounded once
-    and the entries are bit-identical to the broadcast difference.
+    rate may also be a sequence of rates: their blocks stack, in order,
+    into one (len(rate) * taus.size) x x.size matrix.  BLAS fills the
+    matrix faster than numpy's broadcast loop (~2.8x at 128x192, ~1.4x
+    at 64x96).  Each entry is 1 * x_j + s_i * (-1): both products are
+    exact, so with or without FMA the sum is rounded once and the
+    entries are bit-identical to the broadcast difference.
     """
     import numpy as np
 
-    left = np.empty((taus.size, 2))
-    left[:, 0] = 1.0
-    np.multiply(taus, rate, out=left[:, 1])
+    rates = np.array(rate, dtype=float).reshape(-1, 1)
+    left = np.empty((rates.shape[0], taus.size, 2))
+    left[..., 0] = 1.0
+    np.multiply(rates, taus, out=left[..., 1])
     right = np.empty((2, x.size))
     right[0] = x
     right[1] = -1.0
-    return left @ right
+    return left.reshape(-1, 2) @ right
+
+
+def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
+                rates: tuple[float, ...], vecs: np.ndarray) -> np.ndarray:
+    """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau,
+    for each block (coef, rate, vec); shape (len(coefs), taus.size).
+
+    The oracle's one 2-D kernel.  Blocks stack into one array per pass,
+    as many as fit _PASS_ELEMENTS (at least one), and each step runs
+    once per pass, in place (a fresh 2-D temporary per step costs more
+    than its arithmetic).  The square stays a square of the exact
+    difference, since expanding it cancels near the Gaussian's peak.  The row sums are one matrix-vector product per
+    block: a block's rows summed inside a taller product can round
+    differently.
+    """
+    import numpy as np
+
+    per_pass = max(1, _PASS_ELEMENTS // (taus.size * x.size))
+    sums = np.empty((len(coefs), taus.size, 1))
+    for first in range(0, len(coefs), per_pass):
+        last = first + per_pass
+        rows = _shifted_differences(taus, x, rates[first:last]).reshape(
+            -1, taus.size, x.size)
+        rows *= rows
+        rows *= np.negative(coefs[first:last])[:, None, None]
+        np.exp(rows, out=rows)
+        np.matmul(rows, vecs[first:last, :, None], out=sums[first:last])
+        del rows  # before the next pass allocates its own
+    return sums[..., 0]
 
 
 def _gauss_rows(taus: np.ndarray, x: np.ndarray, vec: np.ndarray,
                 coef: float, rate: float) -> np.ndarray:
     """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau.
 
-    The oracle's one 2-D kernel, worked in place: a fresh 2-D temporary
-    per step costs more than its arithmetic.  The row sums are one
-    matrix-vector product; the square stays a square of the exact
-    difference, since expanding it cancels near the Gaussian's peak.
+    The kernel with one block; the tests check it against a plain loop.
     """
-    import numpy as np
-
-    rows = _shifted_differences(taus, x, rate)
-    rows *= rows
-    rows *= -coef
-    np.exp(rows, out=rows)
-    return rows @ vec
+    return _gauss_sums(taus, x, (coef,), (rate,), vec[None])[0]
 
 
 def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -205,9 +251,16 @@ def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
             1.0 / (math.sqrt(math.pi) * radius))
 
 
-def _pair_density_rows(cfg: ExperimentConfig, taus: np.ndarray,
-                       x: np.ndarray, tw: np.ndarray) -> np.ndarray:
-    """Pair overlap density at each birth depth (includes the idle axis)."""
+def _densities(cfg: ExperimentConfig, taus: np.ndarray, x: np.ndarray,
+               tw: np.ndarray, arms: tuple[float, ...] = ()
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-depth densities, from one call of the kernel.
+
+    Returns the pair overlap density at each birth depth (idle axis
+    included); the singles' row sums for each arm drift rate in arms,
+    shape (len(arms), taus.size); and the singles' idle axis, which
+    multiplies both arms' rows.
+    """
     import numpy as np
 
     pair_sep, pump_off2, _, _ = _drift_rates(cfg.walkoffs)
@@ -215,15 +268,23 @@ def _pair_density_rows(cfg: ExperimentConfig, taus: np.ndarray,
     # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
     # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
     # exponent a (x - pair_sep tau)^2 + b (x - c tau)^2 is
-    # coef (x - rate tau)^2 + decay tau^2.
+    # coef (x - rate tau)^2 + decay tau^2.  The singles are
+    # mode(x)^2 pump(x - arm tau)^2, the pump squared as exp(-2b d^2).
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
-    mode_w = norm_sq * np.exp(-a * (x * x)) * tw
-    n_x = np.exp(-decay * (taus * taus)) * _gauss_rows(taus, x, mode_w,
-                                                        coef, rate)
-    n_y = float((mode_w * np.exp(-coef * (x * x))).sum())
-    return n_x * n_y
+    # the unshifted Gaussians: the mode, the pair block's weight, and
+    # mode^2 twice, one weight per arm block (each normalized and with
+    # the trapezoid weights); then the pair's idle axis and pump^2
+    flat = np.exp(np.multiply.outer(
+        (-a, -2.0 * a, -2.0 * a, -coef, -2.0 * b), x * x))
+    vecs = flat[:3] * norm_sq
+    vecs *= tw
+    pair_idle, singles_idle = (vecs[:2] * flat[3:]).sum(axis=1).tolist()
+    sums = _gauss_sums(taus, x, (coef,) + (2.0 * b,) * len(arms),
+                       (rate, *arms), vecs[:1 + len(arms)])
+    pair = np.exp(-decay * (taus * taus)) * sums[0] * pair_idle
+    return pair, sums[1:], singles_idle
 
 
 def pair_overlap_density(cfg: ExperimentConfig, tau: float,
@@ -239,34 +300,21 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
     import numpy as np
 
     x, tw = _transverse_grid(cfg, spec.n_trans, spec.extent_factor)
-    return float(_pair_density_rows(cfg, np.array([tau]), x, tw)[0])
+    return float(_densities(cfg, np.array([tau]), x, tw)[0][0])
 
 
 def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
                  extent_factor: float) -> tuple[float, float, float, float]:
     """One full quadrature pass; returns (eta, p12, p1, p2)."""
-    import numpy as np
-
-    _, _, arm1, arm2 = _drift_rates(cfg.walkoffs)
     x, tw = _transverse_grid(cfg, n_trans, extent_factor)
     nodes, gl_weights = _gauss_legendre(n_tau)
     length = cfg.crystal_length
     taus = 0.5 * length * (nodes + 1.0)
     tau_w = 0.5 * length * gl_weights
-
-    p12 = float((tau_w * _pair_density_rows(cfg, taus, x, tw) ** 2).sum())
-
-    # singles: mode(x)^2 pump(x - rate tau)^2, the pump squared as exp(-2b d^2)
-    a, b, norm_sq = _exponent_coefs(cfg)
-    mode_sq_w = norm_sq * np.exp(-2.0 * a * (x * x)) * tw
-    idle = float((mode_sq_w * np.exp(-2.0 * b * (x * x))).sum())
-
-    def singles(rate: float) -> float:
-        rows = _gauss_rows(taus, x, mode_sq_w, 2.0 * b, rate)
-        return float((tau_w * rows * idle).sum())
-
-    p1 = singles(arm1)
-    p2 = singles(arm2)
+    pair, singles, idle = _densities(cfg, taus, x, tw,
+                                     _drift_rates(cfg.walkoffs)[2:])
+    p12 = float((tau_w * pair ** 2).sum())
+    p1, p2 = (tau_w * singles * idle).sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
 
 

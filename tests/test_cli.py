@@ -463,6 +463,36 @@ def test_oracle_output_independent_of_blas_threads(extra):
         assert default.stderr.count(b"\n") == 1
 
 
+def test_oracle_json_convergence_failure_is_one_document(capsys):
+    args = ["oracle", "--L-mm", "3", *REFERENCE_FLAGS, "--format", "json",
+            "--target-rel-err", "1e-300"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["schema_version", "config", "eta_closed",
+                         "eta_numeric", "est_rel_err", "pass"]
+    assert doc["pass"] is False
+    assert doc["schema_version"] == 1 and doc["config"]["L_um"] == 3000.0
+    assert doc["est_rel_err"] > 1e-300
+    assert f"{doc['eta_numeric']:.9g}" == "0.435079926"
+    assert err.startswith("error: oracle did not converge")
+    assert err.count("\n") == 1
+
+
+def test_oracle_readme_point_pinned(capsys):
+    # the README's oracle example; the eta lines must not move, while the
+    # two roundoff-level lines may read other digits on another BLAS build
+    code, out, _ = run_cli(["oracle", "--L-mm", "3", *REFERENCE_FLAGS],
+                           capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["eta_closed    = 0.435079926",
+                         "eta_numeric   = 0.435079926"]
+    assert [line.split(" = ")[0] for line in lines[2:]] == [
+        "rel_deviation", "est_rel_err  "]
+    assert all(float(line.split(" = ")[1]) < 1e-12 for line in lines[2:])
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------
