@@ -297,8 +297,7 @@ def _print_json(fields: dict) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(args) -> int:
-    doc = _load_config_doc(args.config) if args.config else {}
+def _cmd_eval(args, doc: dict) -> int:
     cfg = _resolve_experiment(args, doc)
     res = efficiency(cfg)
     shape = res.shape
@@ -314,10 +313,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, doc: dict) -> int:
     from .sweep import SweepSpec, _validated_grid, efficiency_curve
 
-    doc = _load_config_doc(args.config) if args.config else {}
     l_grid_mm = _parse_l_range_mm(args.L_range)
     try:
         mu_values = _validated_grid(
@@ -340,10 +338,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args, doc: dict) -> int:
     from .sweep import maximize_eta
 
-    doc = _load_config_doc(args.config) if args.config else {}
     lo, hi = _parse_numbers(args.bounds, "--bounds", "lo:hi")
     if lo <= 0.0 or hi <= lo:
         raise UsageError(
@@ -364,10 +361,9 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, doc: dict) -> int:
     from .oracle import eta_numeric
 
-    doc = _load_config_doc(args.config) if args.config else {}
     cfg = _resolve_experiment(args, doc)
     quad = _resolve_quadrature(args, doc)
     eta_closed = efficiency(cfg).eta
@@ -407,8 +403,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_params(args) -> int:
-    walkoffs, derived = _resolve_walkoffs(args, {})
+def _cmd_params(args, doc: dict) -> int:
+    walkoffs, derived = _resolve_walkoffs(args, doc)
     ab = compute_alpha_beta(walkoffs)
     walkoff_fields = {"Mp": walkoffs.m_p, "M": walkoffs.m,
                       "QK": walkoffs.q_over_k}
@@ -434,11 +430,12 @@ def _cmd_params(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, with_length: bool = True,
-                with_mu: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *,
+                single_point: bool = True) -> None:
+    # single_point adds --L-mm and --mu; sweep takes grids of both instead
     parser.add_argument("--config", metavar="FILE",
                         help="JSON config file; flags override its values")
-    if with_length:
+    if single_point:
         parser.add_argument("--L-mm", dest="L_mm", type=float,
                             help="crystal length in mm")
     parser.add_argument("--rp-um", dest="rp_um", type=float,
@@ -447,7 +444,7 @@ def _add_common(parser: argparse.ArgumentParser, *, with_length: bool = True,
                         help="fiber mode field radius in um")
     parser.add_argument("--mfd-um", dest="mfd_um", type=float,
                         help="fiber mode-field diameter in um (w = MFD/(2 sqrt 2))")
-    if with_mu:
+    if single_point:
         parser.add_argument("--mu", type=float, help="inverse magnification")
     parser.add_argument("--f-mm", dest="f_mm", type=float,
                         help="coupling-lens focal length in mm")
@@ -507,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated magnifications, increasing "
                               f"(default {default_mu}: an illustrative set "
                               "around the anchored design point 49)")
-    _add_common(p_sweep, with_length=False, with_mu=False)
+    _add_common(p_sweep, single_point=False)
     # the --L-range and --mu grids take the place of single values
     p_sweep.set_defaults(handler=_cmd_sweep, L_mm=None, mu=None)
 
@@ -535,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        # params takes no config file
+        path = getattr(args, "config", None)
+        code = args.handler(args, _load_config_doc(path) if path else {})
         sys.stdout.flush()
         return code
     except BrokenPipeError:

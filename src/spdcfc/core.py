@@ -347,20 +347,13 @@ def _eta(prefactor: float, sigma_c: float, sigma1: float,
     return eta
 
 
-def _shape_terms(cfg: ExperimentConfig) -> tuple[
-        float, float, float, float, float, AlphaBeta]:
-    # the xi step and the sigmas of one config:
-    # (prefactor, xi, sigma_c, sigma1, sigma2, alpha_beta)
-    ab = compute_alpha_beta(cfg.walkoffs)
-    xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
-    prefactor, kc, k1, k2 = _xi_terms(xi, ab)
-    ratio = cfg.crystal_length / cfg.pump_waist
-    return prefactor, xi, ratio * kc, ratio * k1, ratio * k2, ab
-
-
 def shape_params(cfg: ExperimentConfig) -> ShapeParams:
     """Reduce an experiment configuration to its dimensionless shape."""
-    _, xi, sigma_c, sigma1, sigma2, ab = _shape_terms(cfg)
+    ab = compute_alpha_beta(cfg.walkoffs)
+    xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
+    _, kc, k1, k2 = _xi_terms(xi, ab)
+    ratio = cfg.crystal_length / cfg.pump_waist
+    sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
     _check_sigmas(sigma_c, sigma1, sigma2)
     return ShapeParams(xi, sigma_c, sigma1, sigma2, alpha_beta=ab)
 
@@ -384,16 +377,9 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
 
 
 def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:
-    """Convenience wrapper: shape_params followed by eta_closed_form.
-
-    Runs as one pass that keeps the xi step's prefactor; the result and
-    any error are the same as those of the two calls.
-    """
-    # sigmas that pass _eta's check always make a valid ShapeParams
-    prefactor, xi, sigma_c, sigma1, sigma2, ab = _shape_terms(cfg)
-    eta = _eta(prefactor, sigma_c, sigma1, sigma2)
-    return EfficiencyResult(
-        eta=eta, shape=ShapeParams(xi, sigma_c, sigma1, sigma2, alpha_beta=ab))
+    """Closed-form coupling efficiency of a configuration: shape_params
+    followed by eta_closed_form."""
+    return eta_closed_form(shape_params(cfg))
 
 
 # ---------------------------------------------------------------------------

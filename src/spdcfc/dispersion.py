@@ -59,6 +59,14 @@ class IndexModel:
         lo, hi = self.range_um
         if not 0.0 < lo < hi:
             raise DomainError(f"invalid validity range [{lo}, {hi}]")
+        # a pole (lambda^2 = c2) inside the range, which the samples below
+        # can step over or land on; refused even when c1 = 0
+        for name in ("ordinary", "extraordinary"):
+            c2 = getattr(self, name)[2]
+            if lo * lo <= c2 <= hi * hi:
+                raise DomainError(
+                    f"{self.material}: {name} Sellmeier pole at "
+                    f"{math.sqrt(c2):.4f} um inside the range [{lo}, {hi}]")
         # n real and > 1 across the range, and n_o >= n_e (negative
         # uniaxial or isotropic; positive uniaxial is out of scope).
         for lam in [lo + (hi - lo) * k / 32.0 for k in range(33)]:
@@ -212,7 +220,7 @@ def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
     return math.sin(math.asin(s))
 
 
-def _group_index(n_of_lam, lam: float, step: float = _DERIV_STEP_UM) -> float:
+def _group_index(n_of_lam, lam: float, step: float) -> float:
     # n_g = n - lambda * dn/dlambda, derivative by central difference
     dn = (n_of_lam(lam + step) - n_of_lam(lam - step)) / (2.0 * step)
     return n_of_lam(lam) - lam * dn

@@ -252,18 +252,18 @@ def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
 
 
 def _densities(cfg: ExperimentConfig, taus: np.ndarray, x: np.ndarray,
-               tw: np.ndarray, arms: tuple[float, ...] = ()
-               ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-depth densities, from one call of the kernel.
+               tw: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-depth densities of the pair and both singles arms, from one
+    call of the kernel.
 
     Returns the pair overlap density at each birth depth (idle axis
-    included); the singles' row sums for each arm drift rate in arms,
-    shape (len(arms), taus.size); and the singles' idle axis, which
-    multiplies both arms' rows.
+    included); the singles' row sums of arm 1 and arm 2, shape
+    (2, taus.size); and the singles' idle axis, which multiplies both
+    arms' rows.
     """
     import numpy as np
 
-    pair_sep, pump_off2, _, _ = _drift_rates(cfg.walkoffs)
+    pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
     a, b, norm_sq = _exponent_coefs(cfg)
     # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
     # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
@@ -281,8 +281,8 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, x: np.ndarray,
     vecs = flat[:3] * norm_sq
     vecs *= tw
     pair_idle, singles_idle = (vecs[:2] * flat[3:]).sum(axis=1).tolist()
-    sums = _gauss_sums(taus, x, (coef,) + (2.0 * b,) * len(arms),
-                       (rate, *arms), vecs[:1 + len(arms)])
+    sums = _gauss_sums(taus, x, (coef, 2.0 * b, 2.0 * b),
+                       (rate, arm1, arm2), vecs)
     pair = np.exp(-decay * (taus * taus)) * sums[0] * pair_idle
     return pair, sums[1:], singles_idle
 
@@ -311,8 +311,7 @@ def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
     length = cfg.crystal_length
     taus = 0.5 * length * (nodes + 1.0)
     tau_w = 0.5 * length * gl_weights
-    pair, singles, idle = _densities(cfg, taus, x, tw,
-                                     _drift_rates(cfg.walkoffs)[2:])
+    pair, singles, idle = _densities(cfg, taus, x, tw)
     p12 = float((tau_w * pair ** 2).sum())
     p1, p2 = (tau_w * singles * idle).sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
