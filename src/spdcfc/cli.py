@@ -368,12 +368,22 @@ def _cmd_oracle(args, doc: dict) -> int:
     quad = _resolve_quadrature(args, doc)
     eta_closed = efficiency(cfg).eta
     try:
-        oracle = eta_numeric(cfg, quad)
+        import numpy as np  # inside the try: its absence is reported below
+
+        # an exponent that overflows to -inf has exp 0, its exact value
+        with np.errstate(over="ignore"):
+            oracle = eta_numeric(cfg, quad)
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
         print(f"error: the quadrature oracle needs numpy: {exc}",
               file=sys.stderr)
+        return 1
+    except ZeroDivisionError:
+        # a width squared, or a grid too coarse for the narrower Gaussian,
+        # reaches 0 and the quadrature divides by it
+        print("error: the quadrature underflows to 0 at this configuration, "
+              "so the oracle cannot check it", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         if args.format == "json":

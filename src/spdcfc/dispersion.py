@@ -30,6 +30,10 @@ from .errors import DomainError, WavelengthRangeError
 # Central-difference step for group-index derivatives: 1 nm.
 _DERIV_STEP_UM = 1e-3
 
+# Width at which the phase-matching bisection stops.  Far above the float
+# spacing of angles below pi/2 (~2e-16), so the halving always ends.
+_ANGLE_TOL_RAD = 1e-6
+
 _C_UM_PER_FS = 0.299792458  # speed of light
 
 
@@ -39,7 +43,8 @@ class IndexModel:
 
     ``ordinary`` and ``extraordinary`` are sellmeier-1 coefficient lists
     [c0, c1, c2, c3]; ``range_um`` is the wavelength validity interval.
-    All three are stored as tuples of floats.
+    All three are stored as tuples of floats.  Only the sellmeier-1 form
+    exists; the file loader refuses any other.
     """
 
     material: str
@@ -47,11 +52,8 @@ class IndexModel:
     extraordinary: tuple[float, float, float, float]
     range_um: tuple[float, float]
     citation: str = ""
-    form: str = "sellmeier-1"
 
     def __post_init__(self):
-        if self.form != "sellmeier-1":
-            raise DomainError(f"unsupported dispersion form {self.form!r}")
         for name, size in (("ordinary", 4), ("extraordinary", 4),
                            ("range_um", 2)):
             object.__setattr__(self, name,
@@ -226,27 +228,24 @@ def _group_index(n_of_lam, lam: float, step: float) -> float:
     return n_of_lam(lam) - lam * dn
 
 
-def group_delay_params(model: IndexModel, geometry: PhaseMatchGeometry,
-                       step: float = _DERIV_STEP_UM) -> TemporalParams:
+def group_delay_params(model: IndexModel,
+                       geometry: PhaseMatchGeometry) -> TemporalParams:
     """Group-delay mismatch rates D and Lambda of the geometry.
 
     Inverse group velocities are n_g/c with the group index from a
-    central difference of the index model (default step 1 nm); the pump
-    travels as an extraordinary ray at the cut angle.
+    central difference of the index model with a fixed 1 nm step; the
+    pump travels as an extraordinary ray at the cut angle.
     """
-    if _require_finite("step", step) <= 0.0:
-        raise DomainError(f"step must be > 0, got {step}")
     lam_p = geometry.pump_wavelength
     lam_d = geometry.degenerate_wavelength
-    theta = geometry.cut_angle
+    step = _DERIV_STEP_UM
     for lam in (lam_p, lam_d):
         _check_range(model, lam - step)
         _check_range(model, lam + step)
+    n_e = lambda l: extraordinary_index(model, l, geometry.cut_angle)
     inv_u_o = _group_index(lambda l: ordinary_index(model, l), lam_d, step) / _C_UM_PER_FS
-    inv_u_e = _group_index(lambda l: extraordinary_index(model, l, theta),
-                           lam_d, step) / _C_UM_PER_FS
-    inv_u_p = _group_index(lambda l: extraordinary_index(model, l, theta),
-                           lam_p, step) / _C_UM_PER_FS
+    inv_u_e = _group_index(n_e, lam_d, step) / _C_UM_PER_FS
+    inv_u_p = _group_index(n_e, lam_p, step) / _C_UM_PER_FS
     return TemporalParams(d=inv_u_o - inv_u_e,
                           lam=inv_u_p - 0.5 * (inv_u_o + inv_u_e))
 
@@ -271,13 +270,13 @@ def build_walkoff_set(model: IndexModel,
 
 
 def phase_match_angle(model: IndexModel, pump_wavelength: float,
-                      bracket_deg: tuple[float, float] = (30.0, 60.0),
-                      tol_rad: float = 1e-6) -> float:
+                      bracket_deg: tuple[float, float] = (30.0, 60.0)) -> float:
     """Collinear degenerate type-II phase-matching angle, by bisection.
 
     Solves n_e(theta, lam_p) = (n_o(2 lam_p) + n_e(theta, 2 lam_p)) / 2
-    on the bracket (degrees, 0 < lo < hi < 90) to within tol_rad > 0;
-    returns theta in radians.
+    on the bracket (degrees, 0 < lo < hi < 90) to within 1e-6 rad;
+    returns theta in radians.  Pumps that phase-match outside the
+    default bracket (0.30 um at ~61.4 deg for BBO) need a wider one.
     """
     lam_p = _require_finite("pump_wavelength", pump_wavelength)
     lam_d = 2.0 * lam_p
@@ -285,8 +284,6 @@ def phase_match_angle(model: IndexModel, pump_wavelength: float,
     if not 0.0 < lo < hi < 90.0:
         raise DomainError(
             f"bracket_deg must satisfy 0 < lo < hi < 90, got ({lo}, {hi})")
-    if _require_finite("tol_rad", tol_rad) <= 0.0:
-        raise DomainError(f"tol_rad must be > 0, got {tol_rad}")
 
     def mismatch(theta: float) -> float:
         return (extraordinary_index(model, lam_p, theta)
@@ -301,10 +298,8 @@ def phase_match_angle(model: IndexModel, pump_wavelength: float,
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise DomainError(f"no phase-matching angle in [{lo}, {hi}] deg")
-    while b - a > tol_rad:
+    while b - a > _ANGLE_TOL_RAD:
         mid = 0.5 * (a + b)
-        if mid == a or mid == b:  # adjacent floats: tol_rad below spacing
-            break
         fm = mismatch(mid)
         if fm == 0.0:
             return mid
@@ -333,20 +328,23 @@ def load_index_model(path: str | Path) -> IndexModel:
 
 
 def _model_from_doc(doc: dict, origin: str) -> IndexModel:
-    # the file's structure and the intersection of the two polarizations'
-    # ranges, read with IndexModel's own check; IndexModel checks the rest
+    # the file's structure, its form and the intersection of the two
+    # polarizations' ranges, read with IndexModel's own check; IndexModel
+    # checks the rest
     try:
         o, e = doc["ordinary"], doc["extraordinary"]
         o_lo, o_hi = _numbers("ordinary.range_um", o["range_um"], 2)
         e_lo, e_hi = _numbers("extraordinary.range_um", e["range_um"], 2)
-        return IndexModel(
-            material=doc["material"], ordinary=o["coeffs"],
-            extraordinary=e["coeffs"],
-            range_um=(max(o_lo, e_lo), min(o_hi, e_hi)),
-            citation=str(doc.get("citation", "")),
-            # one form, or the two joined, which IndexModel refuses
-            form=" and ".join(sorted({p.get("form", "sellmeier-1")
-                                      for p in (o, e)})))
+        fields = dict(material=doc["material"], ordinary=o["coeffs"],
+                      extraordinary=e["coeffs"],
+                      range_um=(max(o_lo, e_lo), min(o_hi, e_hi)),
+                      citation=str(doc.get("citation", "")))
+        # one form, or the two joined, which is refused
+        form = " and ".join(sorted({p.get("form", "sellmeier-1")
+                                    for p in (o, e)}))
+        if form != "sellmeier-1":
+            raise DomainError(f"unsupported dispersion form {form!r}")
+        return IndexModel(**fields)
     except DomainError as exc:
         raise DomainError(f"{origin}: {exc}") from None
     except (AttributeError, KeyError, TypeError) as exc:

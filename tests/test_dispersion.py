@@ -90,9 +90,6 @@ def test_index_model_rejects_bad_data():
                    (0.2, 2.0))
     with pytest.raises(DomainError):  # positive uniaxial
         constant_model(1.5, 1.6)
-    with pytest.raises(DomainError):  # unsupported form
-        IndexModel("bad", (2.9, 0.0, 0.0, 0.0), (2.5, 0.0, 0.0, 0.0),
-                   (0.2, 2.0), form="sellmeier-2")
     with pytest.raises(DomainError):  # inverted range
         IndexModel("bad", (2.9, 0.0, 0.0, 0.0), (2.5, 0.0, 0.0, 0.0),
                    (2.0, 0.2))

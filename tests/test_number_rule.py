@@ -229,50 +229,15 @@ def test_phase_match_angle_bracket_through_the_rule(bracket, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("tol, message", [
-    (math.nan, "tol_rad must be finite, got nan"),
-    (math.inf, "tol_rad must be finite, got inf"),
-    (0.0, "tol_rad must be > 0, got 0.0"),
-    (-1e-6, "tol_rad must be > 0, got -1e-06"),
-    (None, "tol_rad must be a number, got None"),
-], ids=["nan", "inf", "zero", "negative", "none"])
-def test_phase_match_angle_refuses_bad_tolerance(tol, message):
-    with pytest.raises(DomainError) as exc:
-        phase_match_angle(bundled_bbo(), 0.415, tol_rad=tol)
-    assert str(exc.value) == message
-
-
 def test_phase_match_angle_pump_through_the_rule():
     with pytest.raises(DomainError,
                        match="^pump_wavelength must be a number, got '0.415'$"):
         phase_match_angle(bundled_bbo(), "0.415")
 
 
-@pytest.mark.parametrize("pump_um", [0.40, 0.41, 0.415, 0.42])
-def test_phase_match_angle_tolerance_below_float_spacing_ends(pump_um):
-    # bisection stops at adjacent floats instead of looping on them
-    model = bundled_bbo()
-    exact = phase_match_angle(model, pump_um, tol_rad=1e-30)
-    assert exact == pytest.approx(phase_match_angle(model, pump_um),
-                                  abs=1e-6)
-
-
 def test_phase_match_angle_default_result_unchanged():
     assert phase_match_angle(bundled_bbo(), 0.415).hex() == \
         "0x1.6c21240fe918dp-1"
-
-
-@pytest.mark.parametrize("step, message", [
-    (0.0, "step must be > 0, got 0.0"),
-    (-1e-3, "step must be > 0, got -0.001"),
-    (math.nan, "step must be finite, got nan"),
-    (math.inf, "step must be finite, got inf"),
-    ("1e-3", "step must be a number, got '1e-3'"),
-], ids=["zero", "negative", "nan", "inf", "text"])
-def test_group_delay_params_refuses_bad_step(step, message):
-    with pytest.raises(DomainError) as exc:
-        group_delay_params(bundled_bbo(), reference_geometry(), step=step)
-    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n_bar, message", [
