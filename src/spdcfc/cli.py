@@ -380,8 +380,8 @@ def _cmd_oracle(args, doc: dict) -> int:
               file=sys.stderr)
         return 1
     except ZeroDivisionError:
-        # a width squared, or a grid too coarse for the narrower Gaussian,
-        # reaches 0 and the quadrature divides by it
+        # a grid too coarse for the narrower Gaussian makes an integral 0,
+        # and the quadrature divides by it
         print("error: the quadrature underflows to 0 at this configuration, "
               "so the oracle cannot check it", file=sys.stderr)
         return 1

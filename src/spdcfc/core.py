@@ -138,6 +138,24 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+# the ranges _require_in checks, keyed by the text its message prints
+_RANGES = {
+    "> 0": lambda v: v > 0.0,
+    ">= 0": lambda v: v >= 0.0,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+}
+
+
+def _require_in(name: str, value: float, rule: str) -> float:
+    # the number rule, then the range of _RANGES named by rule
+    value = _require_finite(name, value)
+    if not _RANGES[rule](value):
+        raise DomainError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class WalkOffSet:
     """Dimensionless transverse-drift numbers of the crystal geometry.
@@ -156,9 +174,7 @@ class WalkOffSet:
 
     def __post_init__(self):
         for name in ("m_p", "m", "q_over_k"):
-            v = _require_finite(name, getattr(self, name))
-            if not 0.0 <= v < 1.0:
-                raise DomainError(f"{name} must be in [0, 1), got {v}")
+            _require_in(name, getattr(self, name), "in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -171,9 +187,7 @@ class AlphaBeta:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta"):
-            v = _require_finite(name, getattr(self, name))
-            if v < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {v}")
+            _require_in(name, getattr(self, name), ">= 0")
 
 
 @dataclass(frozen=True)
@@ -193,9 +207,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("crystal_length", "pump_waist", "fiber_mode_radius",
                      "inverse_magnification"):
-            v = _require_finite(name, getattr(self, name))
-            if v <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {v}")
+            _require_in(name, getattr(self, name), "> 0")
         if not isinstance(self.walkoffs, WalkOffSet):
             raise DomainError("walkoffs must be a WalkOffSet")
 
@@ -211,13 +223,9 @@ class ShapeParams:
     alpha_beta: AlphaBeta
 
     def __post_init__(self):
-        xi = _require_finite("xi", self.xi)
-        if xi <= 0.0:
-            raise DomainError(f"xi must be > 0, got {xi}")
+        _require_in("xi", self.xi, "> 0")
         for name in ("sigma_c", "sigma1", "sigma2"):
-            v = _require_finite(name, getattr(self, name))
-            if v < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {v}")
+            _require_in(name, getattr(self, name), ">= 0")
 
 
 @dataclass(frozen=True)
@@ -228,9 +236,7 @@ class EfficiencyResult:
     shape: ShapeParams
 
     def __post_init__(self):
-        eta = _require_finite("eta", self.eta)
-        if not 0.0 < eta <= 1.0:
-            raise DomainError(f"eta must be in (0, 1], got {eta}")
+        _require_in("eta", self.eta, "in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +268,7 @@ def mode_field_radius(mfd: float) -> float:
     The MFD is the 1/e^2 intensity diameter; with the field convention
     exp(-x^2 / 2 w^2) used here that makes w = MFD / (2 sqrt(2)).
     """
-    mfd = _require_finite("mfd", mfd)
-    if mfd <= 0.0:
-        raise DomainError(f"mfd must be > 0, got {mfd}")
-    return mfd / _SQRT8
+    return _require_in("mfd", mfd, "> 0") / _SQRT8
 
 
 def pump_waist_from_diameter(d: float) -> float:
@@ -386,23 +389,15 @@ def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:
 # experimental bookkeeping
 # ---------------------------------------------------------------------------
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if not 0.0 < value <= 1.0:
-        raise DomainError(f"{name} must be in (0, 1], got {value}")
-    return value
-
-
 def effective_to_raw(eta_fc: float, eta_det: float, t_filter: float) -> float:
     """Raw measured coincidence efficiency from the effective coupling.
 
     Multiplies the fiber-coupling efficiency by the detector efficiency
     and the filter transmittance.
     """
-    eta_fc = _check_unit_interval("eta_fc", eta_fc)
-    eta_det = _check_unit_interval("eta_det", eta_det)
-    t_filter = _check_unit_interval("t_filter", t_filter)
-    return eta_fc * eta_det * t_filter
+    return (_require_in("eta_fc", eta_fc, "in (0, 1]")
+            * _require_in("eta_det", eta_det, "in (0, 1]")
+            * _require_in("t_filter", t_filter, "in (0, 1]"))
 
 
 def raw_to_effective(eta_raw: float, eta_det: float, t_filter: float) -> float:
@@ -411,9 +406,12 @@ def raw_to_effective(eta_raw: float, eta_det: float, t_filter: float) -> float:
     Inverse of :func:`effective_to_raw`; raises if the implied coupling
     exceeds 1 (inconsistent bookkeeping).
     """
-    eta_raw = _check_unit_interval("eta_raw", eta_raw)
-    eta_det = _check_unit_interval("eta_det", eta_det)
-    t_filter = _check_unit_interval("t_filter", t_filter)
+    eta_raw = _require_in("eta_raw", eta_raw, "in (0, 1]")
+    eta_det = _require_in("eta_det", eta_det, "in (0, 1]")
+    t_filter = _require_in("t_filter", t_filter, "in (0, 1]")
+    if eta_det * t_filter == 0.0:  # both are > 0: the product underflowed
+        raise DomainError(f"eta_det * t_filter underflows to 0, got "
+                          f"{eta_det} * {t_filter}")
     eta_fc = eta_raw / (eta_det * t_filter)
     if eta_fc > 1.0:
         raise DomainError(

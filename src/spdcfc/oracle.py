@@ -66,6 +66,8 @@ MAX_GRID_POINTS = 2 ** 22  # elements of that grid, 32 MiB as float64
 # machine with 2 MiB of L2 per core.
 _PASS_ELEMENTS = 2 ** 17
 
+_TINY = 2.0 ** -1022  # the smallest normal float
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -233,28 +235,27 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     return sums[..., 0]
 
 
-def _gauss_rows(taus: np.ndarray, x: np.ndarray, vec: np.ndarray,
-                coef: float, rate: float) -> np.ndarray:
-    """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau.
-
-    The kernel with one block; the tests check it against a plain loop.
-    """
-    return _gauss_sums(taus, x, (coef,), (rate,), vec[None])[0]
-
-
 def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
     # mode(x) = exp(-a x^2) / sqrt(sqrt(pi) w mu), the unit-normalized fiber
     # mode back-imaged onto the crystal plane, and pump(x) = exp(-b x^2),
-    # whose normalization cancels in the ratio; returns (a, b, mode norm^2)
+    # whose normalization cancels in the ratio; returns (a, b, mode norm^2).
+    # The widths squared, a, b and the pair's a*b must be normal floats:
+    # past that range the divisions fail, inf * 0 turns the Gaussians into
+    # NaN, or a*b underflows and the pair's decay comes out wrong
     radius = cfg.fiber_mode_radius * cfg.inverse_magnification
-    return (0.5 / (radius * radius), 0.5 / (cfg.pump_waist * cfg.pump_waist),
-            1.0 / (math.sqrt(math.pi) * radius))
+    mode_sq, pump_sq = radius * radius, cfg.pump_waist * cfg.pump_waist
+    if mode_sq >= _TINY and pump_sq >= _TINY:
+        a, b = 0.5 / mode_sq, 0.5 / pump_sq
+        if a >= _TINY and b >= _TINY and _TINY <= a * b < math.inf:
+            return a, b, 1.0 / (math.sqrt(math.pi) * radius)
+    raise DomainError(f"widths w*mu = {radius} um and r_p = {cfg.pump_waist} "
+                      "um are outside the range the quadrature can represent")
 
 
-def _densities(cfg: ExperimentConfig, taus: np.ndarray, x: np.ndarray,
-               tw: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
+               extent_factor: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-depth densities of the pair and both singles arms, from one
-    call of the kernel.
+    call of the kernel, on the transverse grid of n_trans points.
 
     Returns the pair overlap density at each birth depth (idle axis
     included); the singles' row sums of arm 1 and arm 2, shape
@@ -264,7 +265,8 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, x: np.ndarray,
     import numpy as np
 
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
-    a, b, norm_sq = _exponent_coefs(cfg)
+    a, b, norm_sq = _exponent_coefs(cfg)  # refuses widths before the grid
+    x, tw = _transverse_grid(cfg, n_trans, extent_factor)
     # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
     # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
     # exponent a (x - pair_sep tau)^2 + b (x - c tau)^2 is
@@ -299,19 +301,18 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
             f"tau must lie in [0, {cfg.crystal_length}], got {tau}")
     import numpy as np
 
-    x, tw = _transverse_grid(cfg, spec.n_trans, spec.extent_factor)
-    return float(_densities(cfg, np.array([tau]), x, tw)[0][0])
+    return float(_densities(cfg, np.array([tau]), spec.n_trans,
+                            spec.extent_factor)[0][0])
 
 
 def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
                  extent_factor: float) -> tuple[float, float, float, float]:
     """One full quadrature pass; returns (eta, p12, p1, p2)."""
-    x, tw = _transverse_grid(cfg, n_trans, extent_factor)
     nodes, gl_weights = _gauss_legendre(n_tau)
     length = cfg.crystal_length
     taus = 0.5 * length * (nodes + 1.0)
     tau_w = 0.5 * length * gl_weights
-    pair, singles, idle = _densities(cfg, taus, x, tw)
+    pair, singles, idle = _densities(cfg, taus, n_trans, extent_factor)
     p12 = float((tau_w * pair ** 2).sum())
     p1, p2 = (tau_w * singles * idle).sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _eta, _require_finite, _xi_terms,
-                   compute_alpha_beta)
+                   WalkOffSet, _eta, _require_finite, _require_in,
+                   _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -222,9 +222,7 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     lo, hi = _as_floats("bounds", bounds)
     if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    rel_tol = _require_finite("rel_tol", rel_tol)
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    rel_tol = _require_in("rel_tol", rel_tol, "in (0, 1)")
     # both ends must make a valid configuration; the points in between
     # then only need the shape checks of the closed form
     _with_variable(cfg, variable, lo)

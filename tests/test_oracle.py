@@ -18,7 +18,7 @@ from spdcfc import (
 )
 from spdcfc.errors import ConvergenceError, DomainError
 from spdcfc.oracle import (MAX_GRID_POINTS, MAX_N_TAU, _eta_on_grid,
-                           _gauss_legendre, _gauss_rows, _shifted_differences)
+                           _gauss_legendre, _gauss_sums, _shifted_differences)
 
 from conftest import REFERENCE_WALKOFFS, reference_config
 
@@ -192,7 +192,7 @@ def kernel_case(n_tau: int, n_trans: int, peak: str):
 @pytest.mark.parametrize("n_tau, n_trans", KERNEL_SHAPES)
 def test_gauss_rows_matches_plain_loop(n_tau, n_trans, peak):
     taus, x, vec, coef, rate = kernel_case(n_tau, n_trans, peak)
-    got = _gauss_rows(taus, x, vec, coef, rate)
+    got = _gauss_sums(taus, x, (coef,), (rate,), vec[None])[0]
     assert got.shape == (n_tau,)
     xs, vs = x.tolist(), vec.tolist()
     for tau, row in zip(taus.tolist(), got.tolist()):

@@ -4,7 +4,7 @@ A level of the quadrature stacks its three Gaussian blocks (pair, arm 1,
 arm 2) into one array per kernel pass.  Each entry is the same exact
 difference, square, product and exponential as in a separate kernel per
 block, and each block's row sums are their own matrix-vector product, so
-the level must match three single-block `_gauss_rows` calls bit for bit.
+the level must match three single-block `_gauss_sums` calls bit for bit.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
 from spdcfc.oracle import (_drift_rates, _eta_on_grid, _exponent_coefs,
-                           _gauss_legendre, _gauss_rows, _transverse_grid)
+                           _gauss_legendre, _gauss_sums, _transverse_grid)
 
 from conftest import REFERENCE_WALKOFFS, reference_config
 
@@ -61,14 +61,14 @@ def unstacked_level(cfg, n_tau, n_trans, extent_factor):
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
     mode_w = norm_sq * np.exp(-a * (x * x)) * tw
     pair = (np.exp(-decay * (taus * taus))
-            * _gauss_rows(taus, x, mode_w, coef, rate)
+            * _gauss_sums(taus, x, (coef,), (rate,), mode_w[None])[0]
             * float((mode_w * np.exp(-coef * (x * x))).sum()))
     p12 = float((tau_w * pair ** 2).sum())
 
     mode_sq_w = norm_sq * np.exp(-2.0 * a * (x * x)) * tw
     idle = float((mode_sq_w * np.exp(-2.0 * b * (x * x))).sum())
-    p1, p2 = (float((tau_w * _gauss_rows(taus, x, mode_sq_w, 2.0 * b, arm)
-                     * idle).sum())
+    p1, p2 = (float((tau_w * _gauss_sums(taus, x, (2.0 * b,), (arm,),
+                                         mode_sq_w[None])[0] * idle).sum())
               for arm in (arm1, arm2))
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
 
