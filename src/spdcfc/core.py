@@ -25,11 +25,12 @@ ratio erf(sigma)/sigma switches to its Taylor series near sigma = 0.
 The arithmetic runs on plain floats in two private steps, split by what
 each part depends on.  The xi step turns xi and the crystal numbers
 into the prefactor 4 (1+xi^2)/(2+xi^2)^2 and three rates k, so that
-each sigma is (L/r_p) k.  The length step turns the prefactor and the
-three sigmas into eta.  Each step checks its own inputs and results.
-The public functions wrap them in the validated dataclasses; the sweeps
-run the xi step once per distinct xi and the length step once per
-point, on inputs validated once, so both give the same bits.
+each sigma is (L/r_p) k.  The length step takes those four terms and
+L/r_p, forms the three sigmas and turns them into eta.  Each step
+checks its own inputs and results.  The public functions wrap them in
+the validated dataclasses; the sweeps run the xi step once per
+distinct xi and the length step once per point, on inputs validated
+once, so both give the same bits.
 
 The length step runs once per point of every sweep, optimization and
 ceiling scan, and there a Python call costs more than its arithmetic.
@@ -112,8 +113,9 @@ def _erf_over_sigma(sigma: float) -> float:
 
 
 def sigma_over_erf(sigma: float) -> float:
-    """sigma/erf(sigma), the reciprocal of :func:`erf_over_sigma`."""
-    return 1.0 / erf_over_sigma(sigma)
+    """sigma/erf(sigma), the reciprocal of :func:`erf_over_sigma`; inf at
+    sigma = inf, its limit."""
+    return _INF if sigma == _INF else 1.0 / erf_over_sigma(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,6 @@ _RANGES = {
     ">= 0": lambda v: v >= 0.0,
     "in [0, 1)": lambda v: 0.0 <= v < 1.0,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
-    "in (0, 1)": lambda v: 0.0 < v < 1.0,
 }
 
 
@@ -328,11 +329,12 @@ def _check_sigmas(sigma_c: float, sigma1: float, sigma2: float) -> None:
             f"sigma1={sigma1}, sigma2={sigma2}")
 
 
-def _eta(prefactor: float, sigma_c: float, sigma1: float,
-         sigma2: float) -> float:
-    # the length step: eta from the xi step's prefactor and the sigmas,
-    # inline on the common path (module docstring); the test below is
+def _eta(terms: tuple[float, float, float, float], ratio: float) -> float:
+    # the length step: eta from the xi step's terms and L/r_p, inline on
+    # the common path (module docstring); the test below is
     # _check_sigmas's own, and a series sigma goes to _erf_over_sigma
+    prefactor, kc, k1, k2 = terms
+    sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
     if not (sigma_c < _INF and sigma1 < _INF and sigma2 < _INF):
         _check_sigmas(sigma_c, sigma1, sigma2)
     cut = EROS_SERIES_CUTOFF
@@ -375,8 +377,10 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
         prefactor = _prefactor(sp.xi * sp.xi)
     except OverflowError:
         raise DomainError(f"xi={sp.xi} too extreme to evaluate") from None
+    # a ratio of 1.0 leaves every sigma's bits as they are
     return EfficiencyResult(
-        eta=_eta(prefactor, sp.sigma_c, sp.sigma1, sp.sigma2), shape=sp)
+        eta=_eta((prefactor, sp.sigma_c, sp.sigma1, sp.sigma2), 1.0),
+        shape=sp)
 
 
 def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:

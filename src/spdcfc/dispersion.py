@@ -122,19 +122,26 @@ def principal_extraordinary_index(model: IndexModel, lam: float) -> float:
     return math.sqrt(_sellmeier1(model.extraordinary, lam))
 
 
-def extraordinary_index(model: IndexModel, lam: float, theta: float) -> float:
-    """Extraordinary index at angle theta between wave-vector and optic axis.
-
-    1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2; equals n_o at
-    theta = 0 and the principal n_e at theta = pi/2.
-    """
+def _extraordinary(model: IndexModel, lam: float, theta: float) -> tuple:
+    # the angled index functions' one checked Sellmeier evaluation:
+    # (theta, n_o^2, n_e^2, n(theta)), with lam checked against the range
+    # and then theta read through core's rule
     lam = _check_range(model, lam)
     if type(theta) is not float:
         theta = _require_finite("theta", theta)
     n_o2 = _sellmeier1(model.ordinary, lam)
     n_e2 = _sellmeier1(model.extraordinary, lam)
     c, s = math.cos(theta), math.sin(theta)
-    return 1.0 / math.sqrt(c * c / n_o2 + s * s / n_e2)
+    return theta, n_o2, n_e2, 1.0 / math.sqrt(c * c / n_o2 + s * s / n_e2)
+
+
+def extraordinary_index(model: IndexModel, lam: float, theta: float) -> float:
+    """Extraordinary index at angle theta between wave-vector and optic axis.
+
+    1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2; equals n_o at
+    theta = 0 and the principal n_e at theta = pi/2.
+    """
+    return _extraordinary(model, lam, theta)[3]
 
 
 def walk_off_tangent(model: IndexModel, lam: float, theta: float) -> float:
@@ -143,13 +150,8 @@ def walk_off_tangent(model: IndexModel, lam: float, theta: float) -> float:
     tan(rho) = (n_e(theta)^2 / 2) sin(2 theta) (1/n_e^2 - 1/n_o^2),
     returned as a magnitude; zero along and perpendicular to the axis.
     """
-    lam = _check_range(model, lam)
-    if type(theta) is not float:
-        theta = _require_finite("theta", theta)
-    n_o2 = _sellmeier1(model.ordinary, lam)
-    n_e2 = _sellmeier1(model.extraordinary, lam)
-    n2 = extraordinary_index(model, lam, theta) ** 2
-    return abs(0.5 * n2 * math.sin(2.0 * theta) * (1.0 / n_e2 - 1.0 / n_o2))
+    theta, n_o2, n_e2, n = _extraordinary(model, lam, theta)
+    return abs(0.5 * n**2 * math.sin(2.0 * theta) * (1.0 / n_e2 - 1.0 / n_o2))
 
 
 @dataclass(frozen=True)

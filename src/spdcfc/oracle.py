@@ -27,14 +27,16 @@ relative error comes from doubling every grid.  The Gauss-Legendre rule
 is built once per size and cached.  Each product of depth-shifted
 Gaussians takes one exponential over the grid, of its combined
 quadratic exponent; the unshifted factors and the trapezoid weights
-enter the row sums as one vector.  A level stacks its three such
-Gaussians (pair, arm 1, arm 2) into one array when they fit in 1 MiB,
-so each step of the kernel runs once per level; a larger level takes
-its Gaussians one at a time.  The shifted differences (exact) and the
-row sums are BLAS matrix products, and the row sums add in the BLAS
-build's order: results are deterministic for a fixed QuadratureSpec on
-one numpy/BLAS build, and the tests check that they do not depend on
-the number of BLAS threads.
+enter the row sums as one vector.  A level's three such Gaussians
+(pair, arm 1, arm 2) stack into one array per kernel pass, as many as
+fit in 1 MiB: all three while a block is at most 1/3 MiB, so each step
+of the kernel runs once per level; a pass of two and then a pass of
+one up to 1/2 MiB (n_tau * n_trans = 49,152, for example); one per
+pass beyond that.  The shifted differences (exact) and the row sums
+are BLAS matrix products, and the row sums add in the BLAS build's
+order: results are deterministic for a fixed QuadratureSpec on one
+numpy/BLAS build, and the tests check that they do not depend on the
+number of BLAS threads.
 
 numpy is imported inside the functions that integrate, so importing
 this module (and the package) does not load it; only a quadrature does.
@@ -275,6 +277,12 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
+    # the kernel squares x - rate tau, with |x| up to the half-width and
+    # tau up to L: refused where that square would overflow
+    reach = float(x[-1]) + max(rate, arm1, arm2) * cfg.crystal_length
+    if reach * reach == math.inf:
+        raise DomainError(f"grid reach half-width + rate * L = {reach} um is "
+                          "outside the range the quadrature can represent")
     # the unshifted Gaussians: the mode, the pair block's weight, and
     # mode^2 twice, one weight per arm block (each normalized and with
     # the trapezoid weights); then the pair's idle axis and pump^2
@@ -285,8 +293,9 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
     pair_idle, singles_idle = (vecs[:2] * flat[3:]).sum(axis=1).tolist()
     sums = _gauss_sums(taus, x, (coef, 2.0 * b, 2.0 * b),
                        (rate, arm1, arm2), vecs)
-    pair = np.exp(-decay * (taus * taus)) * sums[0] * pair_idle
-    return pair, sums[1:], singles_idle
+    # a zero decay's factor is exactly 1, but NaN once tau^2 overflows
+    pair = np.exp(-decay * (taus * taus)) * sums[0] if decay else sums[0]
+    return pair * pair_idle, sums[1:], singles_idle
 
 
 def pair_overlap_density(cfg: ExperimentConfig, tau: float,

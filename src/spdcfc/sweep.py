@@ -7,12 +7,14 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _eta, _require_finite, _require_in,
-                   _xi_terms, compute_alpha_beta)
+                   WalkOffSet, _eta, _require_finite, _xi_terms,
+                   compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_PRESCAN = 64
+# golden section's stopping width, relative to the variable
+_REL_TOL = 1e-6
 
 
 def _as_floats(name: str, values) -> tuple[float, ...]:
@@ -117,7 +119,7 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
     for mu in spec.mu_values:
         xi = w * mu / rp
         try:
-            columns.append((mu, xi, *_xi_terms(xi, ab)))
+            columns.append((mu, xi, _xi_terms(xi, ab)))
         except DomainError as exc:
             failed = mu, exc
             break
@@ -129,9 +131,9 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
     new, set_dict = object.__new__, object.__setattr__
     for length in spec.l_grid:
         ratio = length / rp
-        for mu, xi, prefactor, kc, k1, k2 in columns:
+        for mu, xi, terms in columns:
             try:
-                eta = _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+                eta = _eta(terms, ratio)
             except DomainError as exc:
                 raise _row_error(length, mu, exc) from exc
             row = new(SweepRow)
@@ -161,23 +163,16 @@ def _prescan_grid(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * k / (_N_PRESCAN - 1) for k in range(_N_PRESCAN)]
 
 
-def _xi_of(value: float, rp: float, w: float) -> float:
-    # through mu and back, as _with_variable and shape_params do
-    return w * (value * rp / w) / rp
-
-
 def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
     ratio = length / rp
 
     def eta_at(value: float) -> float:
-        # _xi_of, in place: this runs once per golden-section step
-        prefactor, kc, k1, k2 = _xi_terms(w * (value * rp / w) / rp, ab)
-        return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+        # xi through mu and back, as _with_variable and shape_params do
+        return _eta(_xi_terms(w * (value * rp / w) / rp, ab), ratio)
     return eta_at
 
 
-def _refine(eta_at, grid: list[float], grid_etas: list[float],
-            rel_tol: float) -> tuple[float, float, tuple[float, float], int]:
+def _refine(eta_at, grid: list[float], grid_etas: list[float]) -> tuple:
     # golden section around the best pre-scan point of grid; returns
     # (argmax, eta_max, bracket, iterations), with eta_max already
     # checked to lie in (0, 1] by the closed form
@@ -190,7 +185,7 @@ def _refine(eta_at, grid: list[float], grid_etas: list[float],
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = eta_at(x1), eta_at(x2)
     iterations = 0
-    while (b - a) > rel_tol * 0.5 * (a + b) and iterations < 200:
+    while (b - a) > _REL_TOL * 0.5 * (a + b) and iterations < 200:
         iterations += 1
         if f1 < f2:
             a = x1
@@ -210,19 +205,17 @@ def _refine(eta_at, grid: list[float], grid_etas: list[float],
 
 
 def maximize_eta(cfg: ExperimentConfig, variable: str,
-                 bounds: tuple[float, float],
-                 rel_tol: float = 1e-6) -> OptResult:
+                 bounds: tuple[float, float]) -> OptResult:
     """Maximize eta over one design variable on the given bounds.
 
     A 64-point grid pre-scan locates the best cell (no global
     unimodality is assumed), then golden-section refines it until the
-    bracket shrinks below rel_tol relative to the variable.  The
+    bracket shrinks below 1e-6 relative to the variable.  The
     returned maximum is never below the best pre-scan point.
     """
     lo, hi = _as_floats("bounds", bounds)
     if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    rel_tol = _require_in("rel_tol", rel_tol, "in (0, 1)")
     # both ends must make a valid configuration; the points in between
     # then only need the shape checks of the closed form
     _with_variable(cfg, variable, lo)
@@ -236,19 +229,16 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
         ratio = length / rp
 
         def eta_at(value: float) -> float:
-            prefactor, kc, k1, k2 = _xi_terms(w * value / rp, ab)
-            return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+            return _eta(_xi_terms(w * value / rp, ab), ratio)
     elif variable == "rp":
         def eta_at(value: float) -> float:
-            ratio = length / value
-            prefactor, kc, k1, k2 = _xi_terms(w * mu / value, ab)
-            return _eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
+            return _eta(_xi_terms(w * mu / value, ab), length / value)
     else:
         eta_at = _eta_of_xi(length, rp, w, ab)
 
     grid = _prescan_grid(lo, hi)
     argmax, eta_max, bracket, iterations = _refine(
-        eta_at, grid, [eta_at(v) for v in grid], rel_tol)
+        eta_at, grid, [eta_at(v) for v in grid])
     edge = 1e-4 * (hi - lo)
     return OptResult(variable=variable, argmax=argmax, eta_max=eta_max,
                      bracket=bracket, iterations=iterations,
@@ -275,13 +265,14 @@ def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
     _with_variable(template, "xi", hi)
     ab = compute_alpha_beta(walkoffs)
     xi_grid = _prescan_grid(lo, hi)
-    terms = [_xi_terms(_xi_of(v, pump_waist, 1.0), ab) for v in xi_grid]
+    # xi through mu and back, as _eta_of_xi takes it at w = 1, where
+    # multiplying and dividing by w are exact
+    terms = [_xi_terms(v * pump_waist / pump_waist, ab) for v in xi_grid]
     out = []
     for length in grid:
         ratio = length / pump_waist
-        grid_etas = [_eta(prefactor, ratio * kc, ratio * k1, ratio * k2)
-                     for prefactor, kc, k1, k2 in terms]
+        grid_etas = [_eta(t, ratio) for t in terms]
         eta_max = _refine(_eta_of_xi(length, pump_waist, 1.0, ab), xi_grid,
-                          grid_etas, 1e-6)[1]
+                          grid_etas)[1]
         out.append((length, eta_max))
     return tuple(out)

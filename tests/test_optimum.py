@@ -24,7 +24,7 @@ from spdcfc import (
 )
 from spdcfc.sweep import _with_variable
 
-REL_TOL = 1e-6  # maximize_eta's default
+REL_TOL = 1e-6  # maximize_eta's tolerance
 
 
 def dlog_erf_over_sigma(s: float) -> float:
@@ -117,7 +117,7 @@ def test_argmax_is_the_root_of_the_derivative(seed):
         if root is None:
             continue
         interior += 1
-        res = maximize_eta(cfg, "xi", (lo, hi), rel_tol=REL_TOL)
+        res = maximize_eta(cfg, "xi", (lo, hi))
         assert abs(res.argmax - root) <= REL_TOL * root
     assert interior >= 20  # the seeds reach the case under test
 
@@ -131,7 +131,7 @@ def test_boundary_is_set_exactly_when_the_root_is_outside(seed):
         edge = 1e-4 * (hi - lo)  # maximize_eta's boundary band
         if root is not None and not lo + edge <= root <= hi - edge:
             continue  # inside, yet close enough to an end to count as it
-        res = maximize_eta(cfg, "xi", (lo, hi), rel_tol=REL_TOL)
+        res = maximize_eta(cfg, "xi", (lo, hi))
         assert res.boundary == (root is None)
         if root is None:
             outside += 1
@@ -148,8 +148,7 @@ def test_mu_optimum_maps_to_the_same_xi():
         if root is None:
             continue
         scale = cfg.pump_waist / cfg.fiber_mode_radius
-        res = maximize_eta(cfg, "mu", (lo * scale, hi * scale),
-                           rel_tol=REL_TOL)
+        res = maximize_eta(cfg, "mu", (lo * scale, hi * scale))
         assert abs(res.argmax / scale - root) <= REL_TOL * root
 
 

@@ -1,4 +1,4 @@
-"""The exact message of each range check in `core` and `sweep`.
+"""The exact message of each range check in `core`.
 
 Every check refuses a non-number or a non-finite value first, with the
 number rule's message, and then a finite value outside its range with
@@ -12,11 +12,11 @@ import math
 import pytest
 
 from spdcfc import (AlphaBeta, EfficiencyResult, ExperimentConfig, ShapeParams,
-                    WalkOffSet, effective_to_raw, maximize_eta,
-                    mode_field_radius, raw_to_effective)
+                    WalkOffSet, effective_to_raw, mode_field_radius,
+                    raw_to_effective)
 from spdcfc.errors import DomainError
 
-from conftest import REFERENCE_WALKOFFS, reference_config
+from conftest import REFERENCE_WALKOFFS
 
 # what every check refuses before its range, as "<name> must be ..." ends
 NOT_FINITE = [
@@ -124,17 +124,6 @@ def test_efficiency_result(value, message):
     (False, "> 0, got 0.0"), *NOT_FINITE])
 def test_mode_field_radius(value, message):
     check(mode_field_radius, "mfd", value, message)
-
-
-@pytest.mark.parametrize("value, message", [
-    (1e-6, None), (0.5, None),
-    (0.0, "in (0, 1), got 0.0"), (1.0, "in (0, 1), got 1.0"),
-    (-1e-6, "in (0, 1), got -1e-06"), (1, "in (0, 1), got 1.0"),
-    (0, "in (0, 1), got 0.0"), (True, "in (0, 1), got 1.0"),
-    (False, "in (0, 1), got 0.0"), *NOT_FINITE])
-def test_maximize_eta_rel_tol(value, message):
-    check(lambda v: maximize_eta(reference_config(), "xi", (0.1, 10.0),
-                                 rel_tol=v), "rel_tol", value, message)
 
 
 UNIT_INTERVAL_ARGS = [

@@ -23,7 +23,7 @@ from spdcfc.sweep import _with_variable
 
 from test_optimum import derivative_root, dlog_erf_over_sigma, dlog_eta_dxi
 
-REL_TOL = 1e-6  # maximize_eta's default
+REL_TOL = 1e-6  # maximize_eta's tolerance
 BOUNDS = (3.0, 1000.0)
 EPS = 2.0 ** -52
 
@@ -109,7 +109,7 @@ def test_rp_argmax_is_the_root_of_the_total_derivative(seed):
         if root is None:
             continue
         interior += 1
-        res = maximize_eta(cfg, "rp", BOUNDS, rel_tol=REL_TOL)
+        res = maximize_eta(cfg, "rp", BOUNDS)
         tol = REL_TOL + flat_half_width(slope, root)
         assert abs(res.argmax - root) <= tol * root
     assert interior >= 20  # the seeds reach the case under test
@@ -125,7 +125,7 @@ def test_rp_boundary_is_set_exactly_when_the_root_is_outside(seed):
         edge = 1e-4 * (hi - lo)  # maximize_eta's boundary band
         if root is not None and not lo + edge <= root <= hi - edge:
             continue  # inside, yet close enough to an end to count as it
-        res = maximize_eta(cfg, "rp", BOUNDS, rel_tol=REL_TOL)
+        res = maximize_eta(cfg, "rp", BOUNDS)
         assert res.boundary == (root is None)
         if root is None:
             outside += 1

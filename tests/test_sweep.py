@@ -341,22 +341,6 @@ def test_maximize_eta_still_checks_its_result(monkeypatch):
         maximize_eta(reference_config(), "xi", (0.1, 10.0))
 
 
-@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1.0,
-                                     1.0, 2.0, "1e-6", None])
-def test_maximize_rejects_bad_rel_tol(rel_tol):
-    with pytest.raises(DomainError, match="^rel_tol must be"):
-        maximize_eta(reference_config(), "xi", (0.1, 10.0), rel_tol=rel_tol)
-
-
-def test_maximize_default_rel_tol_unchanged():
-    cfg = reference_config()
-    res = maximize_eta(cfg, "xi", (0.1, 10.0))
-    assert res == maximize_eta(cfg, "xi", (0.1, 10.0), rel_tol=1e-6)
-    assert res.argmax == pytest.approx(1.09004, abs=1e-5)
-    coarse = maximize_eta(cfg, "xi", (0.1, 10.0), rel_tol=1e-3)
-    assert 0 < coarse.iterations < res.iterations
-
-
 @pytest.mark.parametrize("fixed", [None, 3000.0, REFERENCE_WALKOFFS])
 def test_spec_rejects_fixed_that_is_not_a_config(fixed):
     with pytest.raises(DomainError,

@@ -1,0 +1,254 @@
+"""Record what a fixed list of spdcfc calls returns, and compare two records.
+
+    python3 tools/ab_outcomes.py dump CHECKOUT OUT.json
+    python3 tools/ab_outcomes.py compare A.json B.json
+
+``dump`` imports spdcfc from ``CHECKOUT/src`` (and refuses a copy found
+anywhere else), runs a seeded list of public calls, and writes each
+call's outcome: the ``repr`` of its value, or its error type and text,
+plus the text of any warning it raised.  The calls cover the closed
+form, the sweeps and optimizer, the quadrature oracle, the Sellmeier
+front end and the experimental bookkeeping, on random inputs over many
+decades mixed with 0, -1, 5e-324, 1e300, +-inf, nan, the erf-series
+cutoff and values that are not numbers.  The list depends only on the
+seed, so a dump of one checkout under two environments, or of two
+checkouts, can be compared entry by entry.
+
+``compare`` prints every call whose outcome differs and exits 1 if
+any does, 0 if none does.  Standard library only, besides spdcfc (and
+the numpy its oracle imports).  A dump takes well under 30 s.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+import sys
+import warnings
+from pathlib import Path
+
+SEED = 20260317
+N_CONFIGS = 3000
+SPECIALS = (0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan)
+CUTOFF = 1e-4  # core.EROS_SERIES_CUTOFF
+
+
+def load_spdcfc(checkout: Path):
+    src = (checkout / "src").resolve()
+    if not (src / "spdcfc" / "__init__.py").is_file():
+        sys.exit(f"no package sources at {src / 'spdcfc'}")
+    sys.path.insert(0, str(src))
+    import spdcfc
+    if src not in Path(spdcfc.__file__).resolve().parents:
+        sys.exit(f"imported spdcfc from {spdcfc.__file__}, not {src}")
+    return spdcfc
+
+
+def outcome(call) -> dict:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = {"value": repr(call())}
+        except Exception as exc:  # every error is an outcome to record
+            out = {"error": type(exc).__name__, "text": str(exc)}
+    if caught:
+        out["warnings"] = [f"{w.category.__name__}: {w.message}"
+                           for w in caught]
+    return out
+
+
+def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def maybe_special(rng: random.Random, value: float, p: float = 0.05):
+    return rng.choice(SPECIALS) if rng.random() < p else value
+
+
+def random_configs(rng: random.Random, n: int) -> list[tuple]:
+    # (L, r_p, w, mu, (m_p, m, q/K)) in um; a few draws land on the series
+    # cutoff or have a zero pair decay (M_p = M with q/K = 0)
+    configs = []
+    for _ in range(n):
+        walkoffs = [maybe_special(rng, rng.uniform(0.0, 0.3), 0.02)
+                    for _ in range(3)]
+        if rng.random() < 0.03:
+            walkoffs = [walkoffs[0], walkoffs[0], 0.0]
+        length = log_uniform(rng, 1e-6, 1e8)
+        rp = log_uniform(rng, 1e-3, 1e5)
+        if rng.random() < 0.02:  # sigma near the cutoff: L/r_p k ~ 1e-4
+            length = CUTOFF * rp / 0.05 * rng.choice((0.999, 1.0, 1.001))
+        configs.append((maybe_special(rng, length), maybe_special(rng, rp),
+                        maybe_special(rng, log_uniform(rng, 1e-3, 1e3)),
+                        maybe_special(rng, log_uniform(rng, 1e-3, 1e5)),
+                        tuple(walkoffs)))
+    return configs
+
+
+def closed_form_calls(api, rng: random.Random) -> list[tuple[str, object]]:
+    def config(args):
+        length, rp, w, mu, wo = args
+        return api.ExperimentConfig(length, rp, w, mu, api.WalkOffSet(*wo))
+
+    calls = []
+    for k, args in enumerate(random_configs(rng, N_CONFIGS)):
+        calls.append((f"efficiency{args!r}",
+                      lambda a=args: api.efficiency(config(a))))
+        for var, bounds in (("mu", (1.0, 200.0)), ("rp", (3.0, 1000.0)),
+                            ("xi", (0.1, 10.0))):
+            calls.append((f"maximize_eta{args!r}, {var!r}, {bounds!r}",
+                          lambda a=args, v=var, b=bounds:
+                          api.maximize_eta(config(a), v, b)))
+        if k % 5 == 0:
+            lengths = sorted({args[0] if type(args[0]) is float
+                              and args[0] > 0 and math.isfinite(args[0])
+                              else 1.0, 1e3, 3e3})
+            calls.append((f"efficiency_curve{args!r}, {lengths!r}",
+                          lambda a=args, ls=tuple(lengths):
+                          api.efficiency_curve(api.SweepSpec(
+                              ls, (0.5, 25.0, 49.0, 1e4), config(a)))))
+            calls.append((f"ceiling_scan{args[1:]!r}, {lengths!r}",
+                          lambda a=args, ls=tuple(lengths): api.ceiling_scan(
+                              a[1], api.WalkOffSet(*a[4]), ls)))
+    # hand-built shapes skip the xi step: tiny and huge xi, zero, cutoff
+    # and subnormal sigmas
+    sigmas = (0.0, 5e-324, 1e-300, math.nextafter(CUTOFF, 0.0), CUTOFF,
+              math.nextafter(CUTOFF, 1.0), 0.3, 1.0, 30.0, 1e300)
+    for _ in range(600):
+        xi = rng.choice((log_uniform(rng, 1e-200, 1e200), 1.0, 1e77, 1e160))
+        args = (xi, *(rng.choice(sigmas) for _ in range(3)))
+        calls.append((f"eta_closed_form{args!r}",
+                      lambda a=args: api.eta_closed_form(api.ShapeParams(
+                          *a, api.AlphaBeta(0.01, 0.02, 0.03)))))
+    for x in (*SPECIALS, CUTOFF, 0.5, 7.0, 1e-310, "1", None):
+        for fn in (api.erf, api.erf_over_sigma, api.sigma_over_erf):
+            calls.append((f"{fn.__name__}({x!r})", lambda f=fn, v=x: f(v)))
+    for args in ((0.5, 0.9, 0.8), (1.0, 5e-324, 0.5), (0.3, 1.0, 1.0),
+                 (1e-300, 1e-200, 1e-200), (0.0, 0.5, 0.5)):
+        calls.append((f"effective_to_raw{args!r}",
+                      lambda a=args: api.effective_to_raw(*a)))
+        calls.append((f"raw_to_effective{args!r}",
+                      lambda a=args: api.raw_to_effective(*a)))
+    for args in ((50.0, 100.0), (50.0, 50.0), (-1.0, 5.0), (1e-300, 1e300)):
+        calls.append((f"magnification{args!r}",
+                      lambda a=args: api.magnification(*a)))
+    for d in (4.2, 0.0, 5e-324, math.nan):
+        calls.append((f"mode_field_radius({d!r})",
+                      lambda v=d: api.mode_field_radius(v)))
+        calls.append((f"pump_waist_from_diameter({d!r})",
+                      lambda v=d: api.pump_waist_from_diameter(v)))
+    return calls
+
+
+def oracle_calls(api, rng: random.Random) -> list[tuple[str, object]]:
+    calls = []
+    # design-like and wide configs, every fifth with a zero pair decay,
+    # then the reference design at lengths up to past ~1.3e154 um, where
+    # tau^2 overflows
+    configs = []
+    for k in range(100):
+        wide = k % 2
+        walkoffs = tuple(rng.uniform(0.0, 0.2) for _ in range(3))
+        if k % 10 == 0:
+            walkoffs = (0.0, 0.0, 0.0)
+        elif k % 5 == 0:
+            walkoffs = (walkoffs[0], walkoffs[0], 0.0)
+        configs.append((
+            log_uniform(rng, 10.0, 1e5 if wide else 2e4),
+            log_uniform(rng, 3.0, 1000.0) if wide else rng.uniform(30.0, 80.0),
+            log_uniform(rng, 1.0, 10.0) if wide else rng.uniform(1.2, 2.0),
+            log_uniform(rng, 1.0, 1000.0) if wide else rng.uniform(25.0, 80.0),
+            walkoffs))
+    for length in (3000.0, 1e5, 1e150, 1e163, 1e300):
+        for wo in ((0.0, 0.0, 0.0), (0.05, 0.05, 0.0),
+                   (0.07631, 0.07243, 0.036215)):
+            configs.append((length, 53.0, 1.48, 49.0, wo))
+    for args in configs:
+        calls.append((f"eta_numeric{args!r}",
+                      lambda a=args: api.eta_numeric(api.ExperimentConfig(
+                          *a[:4], api.WalkOffSet(*a[4])))))
+    ref = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0,
+                               api.WalkOffSet(0.07631, 0.07243, 0.036215))
+    for tau in (0.0, 1500.0, 3000.0, 3001.0):
+        calls.append((f"pair_overlap_density(ref, {tau!r})",
+                      lambda t=tau: api.pair_overlap_density(ref, t)))
+    for ext in (6.0, 1e150, 1e200):
+        calls.append((f"eta_numeric(ref, extent_factor={ext!r})",
+                      lambda e=ext: api.eta_numeric(
+                          ref, api.QuadratureSpec(extent_factor=e))))
+    return calls
+
+
+def dispersion_calls(api, rng: random.Random) -> list[tuple[str, object]]:
+    model = api.bundled_bbo()
+    lo, hi = model.range_um
+    bad_theta = (math.nan, math.inf, "0.7", None, 1, 10 ** 400)
+    calls = []
+    for fn in (api.ordinary_index, api.principal_extraordinary_index):
+        for _ in range(300):
+            lam = rng.uniform(lo - 0.05, hi + 0.05)
+            calls.append((f"{fn.__name__}({lam!r})",
+                          lambda f=fn, v=lam: f(model, v)))
+    for fn in (api.extraordinary_index, api.walk_off_tangent):
+        for k in range(300):
+            lam = rng.uniform(lo - 0.05, hi + 0.05)
+            theta = (rng.choice(bad_theta) if k % 25 == 0
+                     else rng.uniform(-4.0, 4.0))
+            calls.append((f"{fn.__name__}({lam!r}, {theta!r})",
+                          lambda f=fn, v=lam, t=theta: f(model, v, t)))
+    for _ in range(100):
+        args = (rng.uniform(0.25, 0.6), math.radians(rng.uniform(20.0, 70.0)),
+                math.radians(rng.uniform(0.0, 10.0)))
+        geometry = lambda a=args: api.PhaseMatchGeometry.degenerate(*a)
+        calls.append((f"build_walkoff_set{args!r}",
+                      lambda g=geometry: api.build_walkoff_set(model, g())))
+        calls.append((f"group_delay_params{args!r}",
+                      lambda g=geometry: api.group_delay_params(model, g())))
+        calls.append((f"phase_match_angle({args[0]!r})",
+                      lambda a=args: api.phase_match_angle(model, a[0])))
+    return calls
+
+
+def dump(checkout: Path, out: Path) -> None:
+    api = load_spdcfc(checkout)
+    rng = random.Random(SEED)
+    calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
+             + dispersion_calls(api, rng))
+    record = [[name, outcome(call)] for name, call in calls]
+    out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
+                   encoding="utf-8")
+    errors = sum("error" in o for _, o in record)
+    print(f"{len(record)} outcomes ({errors} errors) from "
+          f"{api.__file__} written to {out}")
+
+
+def compare(a: Path, b: Path) -> int:
+    left = json.loads(a.read_text(encoding="utf-8"))["outcomes"]
+    right = json.loads(b.read_text(encoding="utf-8"))["outcomes"]
+    if [n for n, _ in left] != [n for n, _ in right]:
+        print(f"the two dumps list different calls ({len(left)} and "
+              f"{len(right)}); dump both with the same tool")
+        return 1
+    differ = 0
+    for (name, x), (_, y) in zip(left, right):
+        if x != y:
+            differ += 1
+            print(f"{name}\n  {a}: {json.dumps(x)}\n  {b}: {json.dumps(y)}")
+    print(f"{len(left)} outcomes, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "dump":
+        dump(Path(argv[1]), Path(argv[2]))
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    print("usage:\n" + "\n".join(__doc__.splitlines()[2:4]),
+          file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
