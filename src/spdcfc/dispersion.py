@@ -127,8 +127,7 @@ def _extraordinary(model: IndexModel, lam: float, theta: float) -> tuple:
     # (theta, n_o^2, n_e^2, n(theta)), with lam checked against the range
     # and then theta read through core's rule
     lam = _check_range(model, lam)
-    if type(theta) is not float:
-        theta = _require_finite("theta", theta)
+    theta = _require_finite("theta", theta)
     n_o2 = _sellmeier1(model.ordinary, lam)
     n_e2 = _sellmeier1(model.extraordinary, lam)
     c, s = math.cos(theta), math.sin(theta)

@@ -36,7 +36,18 @@ pass beyond that.  The shifted differences (exact) and the row sums
 are BLAS matrix products, and the row sums add in the BLAS build's
 order: results are deterministic for a fixed QuadratureSpec on one
 numpy/BLAS build, and the tests check that they do not depend on the
-number of BLAS threads.
+number of BLAS threads.  Two CPU slow paths are kept out of the kernel
+without moving its results.  A pass that can reach an exponent below
+-707 raises those exponents to -707 before exp and subtracts exp(-707)
+after it, so its dead lanes end exactly 0 on exp's fast path instead of
+its per-lane path for subnormal results; lanes above about -670 keep
+their bits, and those between move by at most exp(-707) ~ 1e-307.  The
+weights carry an exact 2**600 (less where a row sum could reach
+2**1000), and the row sums and idle integrals are scaled back: products
+that would be subnormal are normal, so BLAS needs no microcode assists,
+and as a power of two commutes with every rounding among normal floats,
+only a row sum below about 2**-960 can move.  The tests check levels
+where both act bit for bit against plain numpy.
 
 numpy is imported inside the functions that integrate, so importing
 this module (and the package) does not load it; only a quadrature does.
@@ -69,6 +80,12 @@ MAX_GRID_POINTS = 2 ** 22  # elements of that grid, 32 MiB as float64
 _PASS_ELEMENTS = 2 ** 17
 
 _TINY = 2.0 ** -1022  # the smallest normal float
+
+# The kernel's floor and weight scale (see above).  numpy's exp is 15-150x
+# slower per lane below ln(DBL_MIN) ~ -708.4, where its results are
+# subnormal or 0; exp(-707) is still normal.
+_EXP_FLOOR = -707.0
+_WEIGHT_SCALE = 600
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,31 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=1)
+def _exp_at_floor() -> float:
+    # exp(_EXP_FLOOR) from numpy's array loop, which the kernel's exp
+    # runs, so that floored lanes minus it are exactly 0; 64 lanes, so a
+    # vector loop gives it from its full-width body, as for the kernel
+    import numpy as np
+
+    return float(np.exp(np.full(64, _EXP_FLOOR))[0])
+
+
+@functools.lru_cache(maxsize=3)
+def _unit_grid(n_trans: int) -> tuple[np.ndarray, np.ndarray]:
+    # 0, 1, ..., n_trans - 1 and the trapezoid weights 1/2, 1, ..., 1, 1/2,
+    # in units of the grid step; shared read-only, one spec's three levels
+    # at most 3 * 2 * 131,072 floats (6 MiB) under MAX_GRID_POINTS
+    import numpy as np
+
+    steps = np.arange(n_trans, dtype=float)
+    weights = np.ones(n_trans)
+    weights[0] = weights[-1] = 0.5
+    steps.flags.writeable = False
+    weights.flags.writeable = False
+    return steps, weights
+
+
 def _drift_rates(w: WalkOffSet) -> tuple[float, float, float, float]:
     """Transverse drift per unit birth depth, as vector magnitudes.
 
@@ -168,21 +210,17 @@ def _drift_rates(w: WalkOffSet) -> tuple[float, float, float, float]:
 
 def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
                      extent_factor: float) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
     back_imaged = cfg.fiber_mode_radius * cfg.inverse_magnification
     half_width = extent_factor * max(back_imaged, cfg.pump_waist)
     # np.linspace(-half_width, half_width, n_trans) by linspace's own
     # arithmetic, without its per-call overhead (linspace takes another
     # formula only when the step underflows to 0, for a half-width of a
     # few subnormal ulps)
-    x = np.arange(n_trans) * ((half_width + half_width) / (n_trans - 1))
+    steps, unit_weights = _unit_grid(n_trans)
+    x = steps * ((half_width + half_width) / (n_trans - 1))
     x -= half_width
     x[-1] = half_width
-    weights = np.full(n_trans, x[1] - x[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return x, weights
+    return x, unit_weights * (x[1] - x[0])
 
 
 def _shifted_differences(taus: np.ndarray, x: np.ndarray,
@@ -217,21 +255,35 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     as many as fit _PASS_ELEMENTS (at least one), and each step runs
     once per pass, in place (a fresh 2-D temporary per step costs more
     than its arithmetic).  The square stays a square of the exact
-    difference, since expanding it cancels near the Gaussian's peak.  The row sums are one matrix-vector product per
-    block: a block's rows summed inside a taller product can round
-    differently.
+    difference, since expanding it cancels near the Gaussian's peak.
+    A pass with a block that can reach an exponent below _EXP_FLOOR
+    raises its exponents to the floor and subtracts exp(_EXP_FLOOR)
+    after exp: those lanes come out exactly 0 on exp's fast path.  The
+    row sums are one matrix-vector product per block: a block's rows
+    summed inside a taller product can round differently.
     """
     import numpy as np
 
+    # a block's largest |x - rate tau| on the oracle's grids: x symmetric,
+    # taus ascending, rates >= 0 (a pass misjudged elsewhere is only
+    # slower, or floored where it need not be)
+    width, depth = x.item(-1), taus.item(-1)
+    floored = [coef * (width + rate * depth) ** 2 > -_EXP_FLOOR
+               for coef, rate in zip(coefs, rates)]
     per_pass = max(1, _PASS_ELEMENTS // (taus.size * x.size))
     sums = np.empty((len(coefs), taus.size, 1))
     for first in range(0, len(coefs), per_pass):
         last = first + per_pass
+        floor = any(floored[first:last])
         rows = _shifted_differences(taus, x, rates[first:last]).reshape(
             -1, taus.size, x.size)
         rows *= rows
         rows *= np.negative(coefs[first:last])[:, None, None]
+        if floor:
+            np.maximum(rows, _EXP_FLOOR, out=rows)
         np.exp(rows, out=rows)
+        if floor:
+            rows -= _exp_at_floor()
         np.matmul(rows, vecs[first:last, :, None], out=sums[first:last])
         del rows  # before the next pass allocates its own
     return sums[..., 0]
@@ -269,6 +321,7 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
     a, b, norm_sq = _exponent_coefs(cfg)  # refuses widths before the grid
     x, tw = _transverse_grid(cfg, n_trans, extent_factor)
+    length = cfg.crystal_length
     # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
     # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
     # exponent a (x - pair_sep tau)^2 + b (x - c tau)^2 is
@@ -279,23 +332,33 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
     # the kernel squares x - rate tau, with |x| up to the half-width and
     # tau up to L: refused where that square would overflow
-    reach = float(x[-1]) + max(rate, arm1, arm2) * cfg.crystal_length
+    reach = float(x[-1]) + max(rate, arm1, arm2) * length
     if reach * reach == math.inf:
         raise DomainError(f"grid reach half-width + rate * L = {reach} um is "
                           "outside the range the quadrature can represent")
+    # a nonzero decay multiplies tau^2, with tau up to L
+    if decay and length * length == math.inf:
+        raise DomainError(f"crystal length L = {length} um is outside the "
+                          "range the quadrature can represent")
+    # the weights carry 2**scale, with each row sum and idle integral
+    # (at most norm_sq * step * n_trans) kept below 2**1000
+    scale = min(_WEIGHT_SCALE,
+                1000 - math.frexp(norm_sq * tw.item(1) * n_trans)[1])
+    unscale = 2.0 ** -scale
     # the unshifted Gaussians: the mode, the pair block's weight, and
     # mode^2 twice, one weight per arm block (each normalized and with
     # the trapezoid weights); then the pair's idle axis and pump^2
     flat = np.exp(np.multiply.outer(
         (-a, -2.0 * a, -2.0 * a, -coef, -2.0 * b), x * x))
-    vecs = flat[:3] * norm_sq
+    vecs = flat[:3] * math.ldexp(norm_sq, scale)
     vecs *= tw
     pair_idle, singles_idle = (vecs[:2] * flat[3:]).sum(axis=1).tolist()
     sums = _gauss_sums(taus, x, (coef, 2.0 * b, 2.0 * b),
                        (rate, arm1, arm2), vecs)
+    sums *= unscale
     # a zero decay's factor is exactly 1, but NaN once tau^2 overflows
     pair = np.exp(-decay * (taus * taus)) * sums[0] if decay else sums[0]
-    return pair * pair_idle, sums[1:], singles_idle
+    return pair * (pair_idle * unscale), sums[1:], singles_idle * unscale
 
 
 def pair_overlap_density(cfg: ExperimentConfig, tau: float,

@@ -285,6 +285,18 @@ def test_index_functions_refuse_non_number_angle(func, rest, value, shown):
     assert_names(exc, "theta", shown)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("func, rest", ANGLE_FUNCTIONS.values(),
+                         ids=ANGLE_FUNCTIONS.keys())
+def test_index_functions_refuse_non_finite_float_angle(func, rest, value):
+    # a float theta skipped the rule: nan came back as nan, +-inf was a raw
+    # ValueError from math.cos
+    with pytest.raises(DomainError,
+                       match=f"^theta must be finite, got {value}$"):
+        func(bundled_bbo(), 0.83, value)
+
+
 @pytest.mark.parametrize("func, rest", INDEX_FUNCTIONS.values(),
                          ids=INDEX_FUNCTIONS.keys())
 def test_index_functions_read_other_numbers_as_floats(func, rest):

@@ -83,12 +83,33 @@ def test_level_equals_separate_kernels_bit_for_bit(name, n_tau, n_trans):
     assert all(type(v) is float for v in got)
 
 
-@pytest.mark.parametrize("name", ["xi=0.05", "xi=20", "wide"])
-def test_off_design_levels_reach_underflowing_lanes(name):
-    # the identity above covers exponents below ln(DBL_MIN) ~ -708.4,
+def lowest_kernel_exponent(cfg, n_tau, n_trans, extent_factor):
+    # the level's lowest -coef * (x - rate * tau)**2 over its three blocks
+    pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
+    a, b, _ = _exponent_coefs(cfg)
+    x, _ = _transverse_grid(cfg, n_trans, extent_factor)
+    taus = 0.5 * cfg.crystal_length * (_gauss_legendre(n_tau)[0] + 1.0)
+    rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / (a + b)
+    return min(float((-coef * (x - r * taus[:, None]) ** 2).min())
+               for coef, r in ((a + b, rate), (2.0 * b, arm1), (2.0 * b, arm2)))
+
+
+@pytest.mark.parametrize("name, level_underflows", [
+    pytest.param("xi=0.05", True, id="xi=0.05"),
+    pytest.param("xi=20", True, id="xi=20"),
+    # the kernel floors these exponents, and nothing else in this level
+    # underflows
+    pytest.param("wide", False, id="wide"),
+])
+def test_off_design_levels_reach_underflowing_lanes(name, level_underflows):
+    # the identity above covers kernel exponents below ln(DBL_MIN) ~ -708.4,
     # whose exp is subnormal or 0 and takes numpy's per-lane path
-    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-        _eta_on_grid(CONFIGS[name], 64, 96, 6.0)
+    tiny = math.log(2.0 ** -1022)
+    assert lowest_kernel_exponent(CONFIGS[name], 64, 96, 6.0) < tiny
+    assert lowest_kernel_exponent(CONFIGS["design"], 64, 96, 6.0) > tiny
+    if level_underflows:
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            _eta_on_grid(CONFIGS[name], 64, 96, 6.0)
     with np.errstate(under="raise"):
         _eta_on_grid(CONFIGS["design"], 64, 96, 6.0)
 

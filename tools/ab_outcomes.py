@@ -32,6 +32,7 @@ SEED = 20260317
 N_CONFIGS = 3000
 SPECIALS = (0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan)
 CUTOFF = 1e-4  # core.EROS_SERIES_CUTOFF
+REF_WALKOFFS = (0.07631, 0.07243, 0.036215)  # m_p, m, q/K of the design
 
 
 def load_spdcfc(checkout: Path):
@@ -161,15 +162,25 @@ def oracle_calls(api, rng: random.Random) -> list[tuple[str, object]]:
             log_uniform(rng, 1.0, 1000.0) if wide else rng.uniform(25.0, 80.0),
             walkoffs))
     for length in (3000.0, 1e5, 1e150, 1e163, 1e300):
-        for wo in ((0.0, 0.0, 0.0), (0.05, 0.05, 0.0),
-                   (0.07631, 0.07243, 0.036215)):
+        for wo in ((0.0, 0.0, 0.0), (0.05, 0.05, 0.0), REF_WALKOFFS):
             configs.append((length, 53.0, 1.48, 49.0, wo))
+    # a nonzero pair decay at a length whose square overflows
+    configs.append((1e160, 0.01, 0.01, 1.0, (1e-8, 0.0, 0.0)))
+    # the ends of the design region's xi = w mu / r_p range, where the
+    # kernel floors its dead lanes and the weights' scale keeps products
+    # normal; their own stream, so the calls above and below keep theirs
+    tail = random.Random(f"{SEED}:design-tail")
+    for k in range(40):
+        rp = tail.uniform(30.0, 120.0)
+        xi = tail.uniform(*((0.2, 0.25) if k % 2 else (4.0, 5.0)))
+        configs.append((tail.uniform(3000.0, 5000.0), rp, 1.48,
+                        xi * rp / 1.48, REF_WALKOFFS))
     for args in configs:
         calls.append((f"eta_numeric{args!r}",
                       lambda a=args: api.eta_numeric(api.ExperimentConfig(
                           *a[:4], api.WalkOffSet(*a[4])))))
     ref = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0,
-                               api.WalkOffSet(0.07631, 0.07243, 0.036215))
+                               api.WalkOffSet(*REF_WALKOFFS))
     for tau in (0.0, 1500.0, 3000.0, 3001.0):
         calls.append((f"pair_overlap_density(ref, {tau!r})",
                       lambda t=tau: api.pair_overlap_density(ref, t)))
