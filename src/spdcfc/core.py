@@ -140,6 +140,25 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_pair(name: str, values, read=_require_finite) -> tuple:
+    # (lo, hi) from values, each item through read(name, item) as it is
+    # met: as when unpacking lo, hi, a bad item among the first three
+    # speaks before the count does, and no fourth item is read
+    try:
+        items = iter(values)
+    except TypeError:  # None, a bare number, ...
+        items = iter(())
+    pair = []
+    for item in items:
+        pair.append(read(name, item))
+        if len(pair) > 2:
+            break
+    if len(pair) != 2:
+        raise DomainError(
+            f"{name} must be a pair (lo, hi), got {values!r:.60}")
+    return tuple(pair)
+
+
 # the ranges _require_in checks, keyed by the text its message prints
 _RANGES = {
     "> 0": lambda v: v > 0.0,

@@ -24,7 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
-from .core import DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _require_finite
+from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _require_finite,
+                   _require_pair)
 from .errors import DomainError, WavelengthRangeError
 
 # Central-difference step for group-index derivatives: 1 nm.
@@ -281,7 +282,7 @@ def phase_match_angle(model: IndexModel, pump_wavelength: float,
     """
     lam_p = _require_finite("pump_wavelength", pump_wavelength)
     lam_d = 2.0 * lam_p
-    lo, hi = (_require_finite("bracket_deg", v) for v in bracket_deg)
+    lo, hi = _require_pair("bracket_deg", bracket_deg)
     if not 0.0 < lo < hi < 90.0:
         raise DomainError(
             f"bracket_deg must satisfy 0 < lo < hi < 90, got ({lo}, {hi})")

@@ -37,13 +37,16 @@ are BLAS matrix products, and the row sums add in the BLAS build's
 order: results are deterministic for a fixed QuadratureSpec on one
 numpy/BLAS build, and the tests check that they do not depend on the
 number of BLAS threads.  Two CPU slow paths are kept out of the kernel
-without moving its results.  A pass that can reach an exponent below
--707 raises those exponents to -707 before exp and subtracts exp(-707)
-after it, so its dead lanes end exactly 0 on exp's fast path instead of
-its per-lane path for subnormal results; lanes above about -670 keep
-their bits, and those between move by at most exp(-707) ~ 1e-307.  The
-weights carry an exact 2**600 (less where a row sum could reach
-2**1000), and the row sums and idle integrals are scaled back: products
+without moving its results.  In a block that can reach an exponent
+below -707, the rows from the first tau whose lowest exponent can fall
+below it (one row early, against rounding) are raised to -707 before
+exp and have exp(-707) subtracted after it, so their dead lanes end
+exactly 0 on exp's fast path instead of its per-lane path for subnormal
+results; in those rows lanes above about -670 keep their bits, and
+those between move by at most exp(-707) ~ 1e-307.  The rows before
+them, and every row of a block that cannot reach -707, keep numpy's exp
+bits.  The weights carry an exact 2**600 (less where a row sum could
+reach 2**1000), and the row sums and idle integrals are scaled back: products
 that would be subnormal are normal, so BLAS needs no microcode assists,
 and as a power of two commutes with every rounding among normal floats,
 only a row sum below about 2**-960 can move.  The tests check levels
@@ -256,37 +259,58 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     once per pass, in place (a fresh 2-D temporary per step costs more
     than its arithmetic).  The square stays a square of the exact
     difference, since expanding it cancels near the Gaussian's peak.
-    A pass with a block that can reach an exponent below _EXP_FLOOR
-    raises its exponents to the floor and subtracts exp(_EXP_FLOOR)
-    after exp: those lanes come out exactly 0 on exp's fast path.  The
-    row sums are one matrix-vector product per block: a block's rows
-    summed inside a taller product can round differently.
+    In a block that can reach an exponent below _EXP_FLOOR, the rows
+    from _first_floored_row on are raised to the floor and have
+    exp(_EXP_FLOOR) subtracted after exp: their dead lanes come out
+    exactly 0 on exp's fast path.  The rows before them, and the blocks
+    that cannot reach the floor, keep numpy's exp bits; a pass with no
+    such block runs no floor step at all.  The row sums are one
+    matrix-vector product per block: a block's rows summed inside a
+    taller product can round differently.
     """
     import numpy as np
 
-    # a block's largest |x - rate tau| on the oracle's grids: x symmetric,
-    # taus ascending, rates >= 0 (a pass misjudged elsewhere is only
-    # slower, or floored where it need not be)
+    # a block's largest |x - rate tau| is width + rate tau on the oracle's
+    # grids: x symmetric, taus ascending, rates >= 0 (a block misjudged
+    # elsewhere is only slower, or floored where it need not be)
     width, depth = x.item(-1), taus.item(-1)
-    floored = [coef * (width + rate * depth) ** 2 > -_EXP_FLOOR
-               for coef, rate in zip(coefs, rates)]
+    floors = [(k, _first_floored_row(taus, width, coef, rate))
+              for k, (coef, rate) in enumerate(zip(coefs, rates))
+              if coef * (width + rate * depth) ** 2 > -_EXP_FLOOR]
     per_pass = max(1, _PASS_ELEMENTS // (taus.size * x.size))
     sums = np.empty((len(coefs), taus.size, 1))
     for first in range(0, len(coefs), per_pass):
         last = first + per_pass
-        floor = any(floored[first:last])
         rows = _shifted_differences(taus, x, rates[first:last]).reshape(
             -1, taus.size, x.size)
         rows *= rows
         rows *= np.negative(coefs[first:last])[:, None, None]
-        if floor:
-            np.maximum(rows, _EXP_FLOOR, out=rows)
+        if floors:  # each floored block's rows from its first floored one
+            tails = [rows[k - first, start:] for k, start in floors
+                     if first <= k < last]
+            for tail in tails:
+                np.maximum(tail, _EXP_FLOOR, out=tail)
         np.exp(rows, out=rows)
-        if floor:
-            rows -= _exp_at_floor()
+        if floors:
+            for tail in tails:
+                tail -= _exp_at_floor()
+            del tails
         np.matmul(rows, vecs[first:last, :, None], out=sums[first:last])
         del rows  # before the next pass allocates its own
     return sums[..., 0]
+
+
+def _first_floored_row(taus: np.ndarray, width: float, coef: float,
+                       rate: float) -> int:
+    # the first row whose lowest exponent -coef (width + rate tau)^2 can
+    # fall below _EXP_FLOOR: it falls with tau, so every later row can
+    # too; one row early against rounding, and row 0 where rate <= 0
+    # (rate 0 gives every row the same exponents, and a negative rate
+    # breaks the width + rate tau bound)
+    if rate <= 0.0:
+        return 0
+    tau = (math.sqrt(-_EXP_FLOOR / coef) - width) / rate
+    return max(0, int(taus.searchsorted(tau)) - 1)
 
 
 def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -368,6 +392,8 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
     Real-valued for the Gaussian profiles used here; maximal at tau = 0
     and constant in tau when all drift rates vanish.
     """
+    if type(tau) is not float:  # a NaN float keeps the range message
+        tau = _require_finite("tau", tau)
     if not 0.0 <= tau <= cfg.crystal_length:
         raise DomainError(
             f"tau must lie in [0, {cfg.crystal_length}], got {tau}")

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _eta, _require_finite, _xi_terms,
-                   compute_alpha_beta)
+                   WalkOffSet, _eta, _require_finite, _require_pair,
+                   _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -17,15 +17,18 @@ _N_PRESCAN = 64
 _REL_TOL = 1e-6
 
 
-def _as_floats(name: str, values) -> tuple[float, ...]:
+def _as_float(name: str, value) -> float:
     # core's number rule for what is not a float; a non-finite float is
     # left to the caller's own check and message
-    return tuple(v if type(v) is float else _require_finite(name, v)
-                 for v in values)
+    return value if type(value) is float else _require_finite(name, value)
 
 
 def _validated_grid(name: str, values) -> tuple[float, ...]:
-    grid = _as_floats(name, values)
+    try:
+        grid = tuple([_as_float(name, v) for v in values])
+    except TypeError:  # not iterable: None, a bare number, ...
+        raise DomainError(f"{name} must be a sequence of numbers, "
+                          f"got {values!r:.60}") from None
     if not grid:
         raise DomainError(f"{name} must not be empty")
     if any(v <= 0.0 or math.isnan(v) or math.isinf(v) for v in grid):
@@ -213,7 +216,7 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     bracket shrinks below 1e-6 relative to the variable.  The
     returned maximum is never below the best pre-scan point.
     """
-    lo, hi = _as_floats("bounds", bounds)
+    lo, hi = _require_pair("bounds", bounds, _as_float)
     if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
     # both ends must make a valid configuration; the points in between

@@ -1,8 +1,9 @@
 """The oracle kernel's exp floor and weight scale keep a level's bits.
 
-A kernel pass that can reach an exponent below the floor (-707) raises
-those exponents to it and subtracts exp(floor) after exp, so the lanes
-come out exactly 0 instead of subnormal or 0 through numpy's slow path.
+A block that can reach an exponent below the floor (-707) has the rows
+that can reach it raised to the floor and exp(floor) subtracted after
+exp, so those lanes come out exactly 0 instead of subnormal or 0 through
+numpy's slow path; the rows before them keep numpy's exp bits.
 The weights carry an exact power of two, so that products which were
 subnormal are normal, and the row sums are scaled back.  Neither may move
 a returned value: each level below must equal a plain-numpy level, with
@@ -12,13 +13,15 @@ domain point, and the ends of the xi range of the design region.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
-from spdcfc.oracle import (_EXP_FLOOR, _drift_rates, _eta_on_grid,
-                           _exponent_coefs, _gauss_sums)
+from spdcfc.oracle import (_EXP_FLOOR, _TINY, _drift_rates, _eta_on_grid,
+                           _exp_at_floor, _exponent_coefs, _gauss_legendre,
+                           _gauss_sums, _transverse_grid)
 
 from conftest import REFERENCE_WALKOFFS
 
@@ -113,3 +116,54 @@ def test_lanes_below_the_floor_sum_to_exactly_zero():
     live = plain_sums(taus, x, 1.0, 1.0, ones)[0]
     assert _gauss_sums(taus, x, (1.0,), (1.0,),
                        ones[None]).tolist() == [[live, 0.0]]
+
+
+def test_floor_covers_only_the_rows_that_can_reach_it():
+    # one block drifts at rate 1 into the floor, one stays at rate 0
+    x = np.linspace(-0.01, 0.01, 16)
+    ones = np.ones(x.size)
+    taus = np.array([0.0, 26.50, 26.55, 26.60, 27.0])
+    assert -(26.50 + 0.01) ** 2 > _EXP_FLOOR  # ~ -702.8, above the floor
+    assert -(26.60 - 0.01) ** 2 < _EXP_FLOOR  # every lane below it
+    got = _gauss_sums(taus, x, (1.0, 1.0), (1.0, 0.0), np.ones((2, x.size)))
+    plain = plain_sums(taus, x, 1.0, 1.0, ones)
+    # the rows before the floor keep numpy's bits: a floor over the whole
+    # block would shift row 26.50 by 16 exp(-707), 1.7523e-304 -> 1.7379e-304
+    assert got[0, :2].tolist() == plain[:2].tolist()
+    # the row floored one early against rounding moves by at most that
+    assert abs(got[0, 2] - plain[2]) <= x.size * _exp_at_floor()
+    assert got[0, 3:].tolist() == [0.0, 0.0]
+    assert got[1].tolist() == plain_sums(taus, x, 1.0, 0.0, ones).tolist()
+
+
+def kernel_args(cfg, n_tau, n_trans):
+    """(taus, x, coefs, rates) of a level's kernel call, as _densities
+    builds them."""
+    pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
+    a, b, _ = _exponent_coefs(cfg)
+    x, _ = _transverse_grid(cfg, n_trans, 6.0)
+    taus = 0.5 * cfg.crystal_length * (_gauss_legendre(n_tau)[0] + 1.0)
+    coef = a + b
+    rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
+    return taus, x, (coef, 2.0 * b, 2.0 * b), (rate, arm1, arm2)
+
+
+def test_rows_left_unfloored_never_underflow():
+    # a row left unfloored with a lane below ln(DBL_MIN) would underflow
+    # in exp; unit weights, so the row sums cannot underflow on their own
+    rng = random.Random(20)
+    configs = list(CONFIGS.values()) + [
+        design_config(rng.uniform(100.0, 5000.0),
+                      math.exp(rng.uniform(math.log(0.2), math.log(5.0))),
+                      rng.uniform(30.0, 120.0))
+        for _ in range(40)]
+    reaching = 0
+    for cfg in configs:
+        for n_tau, n_trans in LEVELS:
+            taus, x, coefs, rates = kernel_args(cfg, n_tau, n_trans)
+            reaching += min(-c * (x[-1] + r * taus[-1]) ** 2
+                            for c, r in zip(coefs, rates)) < math.log(_TINY)
+            with np.errstate(under="raise"):
+                _gauss_sums(taus, x, coefs, rates, np.ones((3, x.size)))
+    # the premise: many of these levels have lanes that would underflow
+    assert reaching >= 30

@@ -1,0 +1,98 @@
+"""Library calls whose arguments have the wrong shape end in a DomainError
+that names the argument, not in whatever Python raised on the way.
+
+A pair of bounds that is not a pair, a grid that is not a sequence and a
+birth depth that is not a number each used to end in a raw ValueError or
+TypeError.  The messages the library already gave stay as they were.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from spdcfc import (SweepSpec, bundled_bbo, ceiling_scan, maximize_eta,
+                    pair_overlap_density, phase_match_angle)
+from spdcfc.errors import DomainError
+
+from conftest import REFERENCE_WALKOFFS, reference_config
+
+CFG = reference_config(3000.0)
+
+
+def refusal(call) -> str:
+    with pytest.raises(DomainError) as exc:
+        call()
+    return str(exc.value)
+
+
+NOT_PAIRS = {
+    "three": ((1, 2, 3), "(1, 2, 3)"),
+    "one": ((1.0,), "(1.0,)"),
+    "none": (None, "None"),
+    "number": (5.0, "5.0"),
+}
+
+
+@pytest.mark.parametrize("value, shown", NOT_PAIRS.values(), ids=NOT_PAIRS)
+def test_bounds_that_are_not_a_pair_are_refused(value, shown):
+    assert refusal(lambda: maximize_eta(CFG, "xi", value)) == (
+        f"bounds must be a pair (lo, hi), got {shown}")
+
+
+@pytest.mark.parametrize("value, shown", NOT_PAIRS.values(), ids=NOT_PAIRS)
+def test_bracket_that_is_not_a_pair_is_refused(value, shown):
+    assert refusal(lambda: phase_match_angle(bundled_bbo(), 0.415, value)) == (
+        f"bracket_deg must be a pair (lo, hi), got {shown}")
+
+
+def test_an_endless_pair_is_refused_after_its_third_item():
+    assert refusal(lambda: maximize_eta(CFG, "xi", itertools.count(1))) == (
+        "bounds must be a pair (lo, hi), got count(4)")
+    assert refusal(lambda: phase_match_angle(
+        bundled_bbo(), 0.415, itertools.count(30))) == (
+        "bracket_deg must be a pair (lo, hi), got count(33)")
+
+
+def test_an_item_read_before_the_count_keeps_its_message():
+    # as when unpacking: the bad item is met before the third one
+    assert refusal(lambda: maximize_eta(CFG, "xi", ("0.1", 2.0, 3.0))) == (
+        "bounds must be a number, got '0.1'")
+    assert refusal(lambda: phase_match_angle(
+        bundled_bbo(), 0.415, (30.0, math.nan, 50.0))) == (
+        "bracket_deg must be finite, got nan")
+
+
+def test_pairs_give_what_they_gave():
+    assert maximize_eta(CFG, "xi", [0.1, 10]) == maximize_eta(
+        CFG, "xi", (0.1, 10.0))
+    assert phase_match_angle(bundled_bbo(), 0.415, [30, 60]).hex() == (
+        "0x1.6c21240fe918dp-1")
+
+
+@pytest.mark.parametrize("value", [None, 5.0], ids=["none", "number"])
+def test_grids_that_are_not_sequences_are_refused(value):
+    shown = repr(value)
+    assert refusal(lambda: SweepSpec(value, (49.0,), CFG)) == (
+        f"l_grid must be a sequence of numbers, got {shown}")
+    assert refusal(lambda: SweepSpec((3000.0,), value, CFG)) == (
+        f"mu_values must be a sequence of numbers, got {shown}")
+    assert refusal(lambda: ceiling_scan(53.0, REFERENCE_WALKOFFS, value)) == (
+        f"l_grid must be a sequence of numbers, got {shown}")
+
+
+@pytest.mark.parametrize("tau, message", [
+    (None, "tau must be a number, got None"),
+    ("1500", "tau must be a number, got '1500'"),
+    (10 ** 400, "tau must be finite, got a number past the float range"),
+    # a float keeps the range message, NaN included
+    (math.nan, "tau must lie in [0, 3000.0], got nan"),
+    (3001.0, "tau must lie in [0, 3000.0], got 3001.0"),
+], ids=["none", "text", "huge-int", "nan", "past-L"])
+def test_pair_overlap_density_reads_tau_by_the_number_rule(tau, message):
+    assert refusal(lambda: pair_overlap_density(CFG, tau)) == message
+
+
+def test_pair_overlap_density_reads_an_int_tau_as_a_float():
+    assert pair_overlap_density(CFG, 1500) == pair_overlap_density(
+        CFG, 1500.0)

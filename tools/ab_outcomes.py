@@ -179,9 +179,24 @@ def oracle_calls(api, rng: random.Random) -> list[tuple[str, object]]:
         calls.append((f"eta_numeric{args!r}",
                       lambda a=args: api.eta_numeric(api.ExperimentConfig(
                           *a[:4], api.WalkOffSet(*a[4])))))
+    # the same tails under specs whose kernel passes hold two blocks and
+    # then one (n_tau * n_trans = 49,152), or one (98,304): a pass floors
+    # the rows of some of its blocks only; again their own stream
+    split = random.Random(f"{SEED}:split-passes")
+    for n_tau in (128, 256):
+        for k in range(10):
+            rp = split.uniform(30.0, 120.0)
+            xi = split.uniform(*((0.2, 0.25) if k % 2 else (4.0, 5.0)))
+            args = (split.uniform(3000.0, 5000.0), rp, 1.48, xi * rp / 1.48,
+                    REF_WALKOFFS)
+            calls.append((f"eta_numeric{args!r}, n_tau={n_tau}, n_trans=384",
+                          lambda a=args, n=n_tau: api.eta_numeric(
+                              api.ExperimentConfig(*a[:4],
+                                                   api.WalkOffSet(*a[4])),
+                              api.QuadratureSpec(n_tau=n, n_trans=384))))
     ref = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0,
                                api.WalkOffSet(*REF_WALKOFFS))
-    for tau in (0.0, 1500.0, 3000.0, 3001.0):
+    for tau in (0.0, 1500.0, 3000.0, 3001.0, None, math.nan):
         calls.append((f"pair_overlap_density(ref, {tau!r})",
                       lambda t=tau: api.pair_overlap_density(ref, t)))
     for ext in (6.0, 1e150, 1e200):
