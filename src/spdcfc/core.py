@@ -99,9 +99,10 @@ def erf_over_sigma(sigma: float) -> float:
     Returns 2/sqrt(pi) at sigma = 0 and decays monotonically to 0 at
     sigma = inf.
     """
-    if not (sigma == _INF or _require_finite("sigma", sigma) >= 0.0):
+    value = _INF if sigma == _INF else _require_finite("sigma", sigma)
+    if not value >= 0.0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
-    return _erf_over_sigma(sigma)
+    return _erf_over_sigma(value)
 
 
 def _erf_over_sigma(sigma: float) -> float:
@@ -138,6 +139,28 @@ def _require_finite(name: str, value: float) -> float:
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
+
+
+def _as_float(name: str, value) -> float:
+    # the lenient rule: a float is left as it is, so a non-finite one
+    # meets the caller's own check and message; anything else goes
+    # through _require_finite
+    return value if type(value) is float else _require_finite(name, value)
+
+
+def _store_checked(obj, name: str, value: float) -> None:
+    # a frozen type keeps, for field name, the number its check returned,
+    # so that it computes with a float; a field holding an int or a float
+    # keeps its own value (a config file's 53 is echoed as 53)
+    if type(getattr(obj, name)) not in (int, float):
+        object.__setattr__(obj, name, value)
+
+
+def _check_fields(obj, names: tuple[str, ...], rule: str) -> None:
+    # each field of a frozen type through _require_in, in order, and
+    # stored as _store_checked stores it
+    for name in names:
+        _store_checked(obj, name, _require_in(name, getattr(obj, name), rule))
 
 
 def _require_pair(name: str, values, read=_require_finite) -> tuple:
@@ -193,8 +216,7 @@ class WalkOffSet:
     q_over_k: float
 
     def __post_init__(self):
-        for name in ("m_p", "m", "q_over_k"):
-            _require_in(name, getattr(self, name), "in [0, 1)")
+        _check_fields(self, ("m_p", "m", "q_over_k"), "in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -206,8 +228,7 @@ class AlphaBeta:
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "beta"):
-            _require_in(name, getattr(self, name), ">= 0")
+        _check_fields(self, ("alpha1", "alpha2", "beta"), ">= 0")
 
 
 @dataclass(frozen=True)
@@ -225,9 +246,9 @@ class ExperimentConfig:
     walkoffs: WalkOffSet
 
     def __post_init__(self):
-        for name in ("crystal_length", "pump_waist", "fiber_mode_radius",
-                     "inverse_magnification"):
-            _require_in(name, getattr(self, name), "> 0")
+        _check_fields(self, ("crystal_length", "pump_waist",
+                             "fiber_mode_radius", "inverse_magnification"),
+                      "> 0")
         if not isinstance(self.walkoffs, WalkOffSet):
             raise DomainError("walkoffs must be a WalkOffSet")
 
@@ -243,9 +264,8 @@ class ShapeParams:
     alpha_beta: AlphaBeta
 
     def __post_init__(self):
-        _require_in("xi", self.xi, "> 0")
-        for name in ("sigma_c", "sigma1", "sigma2"):
-            _require_in(name, getattr(self, name), ">= 0")
+        _check_fields(self, ("xi",), "> 0")
+        _check_fields(self, ("sigma_c", "sigma1", "sigma2"), ">= 0")
 
 
 @dataclass(frozen=True)
@@ -256,7 +276,7 @@ class EfficiencyResult:
     shape: ShapeParams
 
     def __post_init__(self):
-        _require_in("eta", self.eta, "in (0, 1]")
+        _check_fields(self, ("eta",), "in (0, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,9 @@ from importlib import resources
 from pathlib import Path
 
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
-from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _require_finite,
-                   _require_pair)
+from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _as_float,
+                   _require_finite, _require_pair, _store_checked)
 from .errors import DomainError, WavelengthRangeError
-
-# Central-difference step for group-index derivatives: 1 nm.
-_DERIV_STEP_UM = 1e-3
 
 # Width at which the phase-matching bisection stops.  Far above the float
 # spacing of angles below pi/2 (~2e-16), so the halving always ends.
@@ -100,10 +97,9 @@ def _sellmeier1(coeffs: tuple[float, ...], lam: float) -> float:
 
 
 def _check_range(model: IndexModel, lam: float) -> float:
-    # returns lam; a non-float is read through core's rule, while a float
-    # keeps its bits (and a NaN float its range message)
-    if type(lam) is not float:
-        lam = _require_finite("lam", lam)
+    # returns lam, read by core's lenient rule (a NaN float gets the range
+    # message)
+    lam = _as_float("lam", lam)
     lo, hi = model.range_um
     if not lo <= lam <= hi:
         raise WavelengthRangeError(
@@ -169,8 +165,8 @@ class PhaseMatchGeometry:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if type(value) is not float:  # a NaN float gets the messages below
-                _require_finite(name, value)
+            # a NaN float gets the messages below
+            _store_checked(self, name, _as_float(name, value))
         if not self.pump_wavelength > 0.0:  # NaN included
             raise DomainError("pump_wavelength must be > 0")
         if not math.isclose(self.degenerate_wavelength,
@@ -185,9 +181,8 @@ class PhaseMatchGeometry:
     @classmethod
     def degenerate(cls, pump_wavelength: float, cut_angle: float,
                    external_cone_angle: float) -> "PhaseMatchGeometry":
-        if type(pump_wavelength) is not float:  # before it is doubled
-            pump_wavelength = _require_finite("pump_wavelength",
-                                              pump_wavelength)
+        # read before it is doubled
+        pump_wavelength = _as_float("pump_wavelength", pump_wavelength)
         return cls(pump_wavelength, 2.0 * pump_wavelength, cut_angle,
                    external_cone_angle)
 
@@ -206,7 +201,7 @@ class TemporalParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            _require_finite(name, value)
+            _store_checked(self, name, _require_finite(name, value))
 
 
 def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
@@ -216,38 +211,49 @@ def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
     sine of the internal angle, sin(asin(sin(ext)/n_bar)).  n_bar = 1
     is allowed as the vacuum (no-refraction) limit.
     """
-    if _require_finite("n_bar", n_bar) < 1.0:
+    value = _require_finite("n_bar", n_bar)
+    if value < 1.0:
         raise DomainError(f"n_bar must be >= 1, got {n_bar}")
-    s = math.sin(geometry.external_cone_angle) / n_bar
+    s = math.sin(geometry.external_cone_angle) / value
     if abs(s) >= 1.0:
         raise DomainError("external cone angle does not refract into the crystal")
     return math.sin(math.asin(s))
 
 
-def _group_index(n_of_lam, lam: float, step: float) -> float:
-    # n_g = n - lambda * dn/dlambda, derivative by central difference
-    dn = (n_of_lam(lam + step) - n_of_lam(lam - step)) / (2.0 * step)
-    return n_of_lam(lam) - lam * dn
+def _slope(coeffs: tuple[float, ...], u: float) -> float:
+    # -d(n^2)/du of the sellmeier-1 form, with u = lambda^2
+    c0, c1, c2, c3 = coeffs
+    return c1 / (u - c2) ** 2 + c3
+
+
+def _group_index(model: IndexModel, lam: float, theta: float) -> float:
+    # n_g = n - lambda dn/dlambda at angle theta, exactly: with u = lambda^2
+    # and S = -d(n^2)/du, 1/n^2 = cos^2/n_o^2 + sin^2/n_e^2 gives
+    # lambda dn/dlambda = -u n^3 (cos^2 S_o/n_o^4 + sin^2 S_e/n_e^4);
+    # theta = 0 is the ordinary ray
+    theta, n_o2, n_e2, n = _extraordinary(model, lam, theta)
+    u = lam * lam
+    c, s = math.cos(theta), math.sin(theta)
+    return n + u * n ** 3 * (c * c * _slope(model.ordinary, u) / (n_o2 * n_o2)
+                             + s * s * _slope(model.extraordinary, u)
+                             / (n_e2 * n_e2))
 
 
 def group_delay_params(model: IndexModel,
                        geometry: PhaseMatchGeometry) -> TemporalParams:
     """Group-delay mismatch rates D and Lambda of the geometry.
 
-    Inverse group velocities are n_g/c with the group index from a
-    central difference of the index model with a fixed 1 nm step; the
-    pump travels as an extraordinary ray at the cut angle.
+    Inverse group velocities are n_g/c, with the group index from the
+    exact derivative of the Sellmeier form; the pump travels as an
+    extraordinary ray at the cut angle.  Only the pump and pair
+    wavelengths themselves must lie in the model's range.
     """
     lam_p = geometry.pump_wavelength
     lam_d = geometry.degenerate_wavelength
-    step = _DERIV_STEP_UM
-    for lam in (lam_p, lam_d):
-        _check_range(model, lam - step)
-        _check_range(model, lam + step)
-    n_e = lambda l: extraordinary_index(model, l, geometry.cut_angle)
-    inv_u_o = _group_index(lambda l: ordinary_index(model, l), lam_d, step) / _C_UM_PER_FS
-    inv_u_e = _group_index(n_e, lam_d, step) / _C_UM_PER_FS
-    inv_u_p = _group_index(n_e, lam_p, step) / _C_UM_PER_FS
+    theta = geometry.cut_angle
+    inv_u_o = _group_index(model, lam_d, 0.0) / _C_UM_PER_FS
+    inv_u_e = _group_index(model, lam_d, theta) / _C_UM_PER_FS
+    inv_u_p = _group_index(model, lam_p, theta) / _C_UM_PER_FS
     return TemporalParams(d=inv_u_o - inv_u_e,
                           lam=inv_u_p - 0.5 * (inv_u_o + inv_u_e))
 

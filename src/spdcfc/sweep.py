@@ -7,20 +7,14 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _eta, _require_finite, _require_pair,
-                   _xi_terms, compute_alpha_beta)
+                   WalkOffSet, _as_float, _eta, _require_pair, _xi_terms,
+                   compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_PRESCAN = 64
 # golden section's stopping width, relative to the variable
 _REL_TOL = 1e-6
-
-
-def _as_float(name: str, value) -> float:
-    # core's number rule for what is not a float; a non-finite float is
-    # left to the caller's own check and message
-    return value if type(value) is float else _require_finite(name, value)
 
 
 def _validated_grid(name: str, values) -> tuple[float, ...]:
@@ -266,6 +260,7 @@ def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
     template = ExperimentConfig(grid[0], pump_waist, 1.0, 1.0, walkoffs)
     _with_variable(template, "xi", lo)
     _with_variable(template, "xi", hi)
+    pump_waist = template.pump_waist  # as the check read it
     ab = compute_alpha_beta(walkoffs)
     xi_grid = _prescan_grid(lo, hi)
     # xi through mu and back, as _eta_of_xi takes it at w = 1, where

@@ -19,7 +19,7 @@ from spdcfc import (
     q_over_kbar,
     walk_off_tangent,
 )
-from spdcfc.dispersion import DEFAULT_CUT_ANGLE_DEG, _group_index
+from spdcfc.dispersion import DEFAULT_CUT_ANGLE_DEG
 from spdcfc.errors import DomainError, WavelengthRangeError
 
 PUMP_UM = 0.415
@@ -205,21 +205,6 @@ def test_group_delay_bbo_magnitude():
     tp = group_delay_params(bundled_bbo(), reference_geometry())
     assert tp.d == pytest.approx(0.19, rel=0.25)
     assert tp.d > 0.0
-
-
-def test_group_index_step_halving_converges():
-    model = bundled_bbo()
-    for lam in (PUMP_UM, DEGEN_UM):
-        coarse = _group_index(lambda l: ordinary_index(model, l), lam, 1e-3)
-        fine = _group_index(lambda l: ordinary_index(model, l), lam, 5e-4)
-        assert abs(fine - coarse) / coarse < 1e-6
-
-
-def test_group_delay_respects_range():
-    model = constant_model(1.7, 1.6)
-    geometry = PhaseMatchGeometry.degenerate(0.2001, 0.7, 0.06)
-    with pytest.raises(WavelengthRangeError):
-        group_delay_params(model, geometry)
 
 
 # ---------------------------------------------------------------------------

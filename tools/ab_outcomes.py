@@ -10,9 +10,9 @@ plus the text of any warning it raised.  The calls cover the closed
 form, the sweeps and optimizer, the quadrature oracle, the Sellmeier
 front end and the experimental bookkeeping, on random inputs over many
 decades mixed with 0, -1, 5e-324, 1e300, +-inf, nan, the erf-series
-cutoff and values that are not numbers.  The list depends only on the
-seed, so a dump of one checkout under two environments, or of two
-checkouts, can be compared entry by entry.
+cutoff, values that are not numbers and ``Decimal`` numbers.  The list
+depends only on the seed, so a dump of one checkout under two
+environments, or of two checkouts, can be compared entry by entry.
 
 ``compare`` prints every call whose outcome differs and exits 1 if
 any does, 0 if none does.  Standard library only, besides spdcfc (and
@@ -26,6 +26,7 @@ import math
 import random
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 SEED = 20260317
@@ -233,14 +234,59 @@ def dispersion_calls(api, rng: random.Random) -> list[tuple[str, object]]:
                       lambda g=geometry: api.group_delay_params(model, g())))
         calls.append((f"phase_match_angle({args[0]!r})",
                       lambda a=args: api.phase_match_angle(model, a[0])))
+    # pumps within 1 nm of each end of the pump range [0.205, 0.53] um,
+    # where the pump and its doubled wavelength both lie in [lo, hi]; their
+    # own stream, so the calls above keep theirs
+    ends = random.Random(f"{SEED}:pump-range-ends")
+    for end in (lo, hi / 2.0):
+        for _ in range(20):
+            args = (ends.uniform(end - 1e-3, end + 1e-3),
+                    math.radians(ends.uniform(20.0, 70.0)),
+                    math.radians(ends.uniform(0.0, 10.0)))
+            calls.append((f"group_delay_params{args!r}",
+                          lambda a=args: api.group_delay_params(
+                              model, api.PhaseMatchGeometry.degenerate(*a))))
     return calls
+
+
+def number_kind_calls(api) -> list[tuple[str, object]]:
+    # Decimal inputs, which pass the number rule and are then computed
+    # with as floats
+    w = api.WalkOffSet(*REF_WALKOFFS)
+    cfg = lambda: api.ExperimentConfig(Decimal(3000), 53.0, 1.48, 49.0, w)
+    geometry = api.PhaseMatchGeometry(0.415, 0.83, 0.75, 0.06)
+    ab = api.AlphaBeta(0.01, 0.02, 0.03)
+    return [
+        ("efficiency(L=Decimal(3000))", lambda: api.efficiency(cfg())),
+        ("eta_numeric(L=Decimal(3000))", lambda: api.eta_numeric(cfg())),
+        ("maximize_eta(L=Decimal(3000), 'xi', (0.1, 10))",
+         lambda: api.maximize_eta(cfg(), "xi", (0.1, 10))),
+        ("ceiling_scan(Decimal('1.5'), ref, [1000.0, 2000.0])",
+         lambda: api.ceiling_scan(Decimal("1.5"), w, [1000.0, 2000.0])),
+        ("PhaseMatchGeometry(Decimal('0.415'), Decimal('0.83'), 0.75, 0.06)",
+         lambda: api.PhaseMatchGeometry(Decimal("0.415"), Decimal("0.83"),
+                                        0.75, 0.06)),
+        ("q_over_kbar(g, Decimal('1.5'))",
+         lambda: api.q_over_kbar(geometry, Decimal("1.5"))),
+        ("erf_over_sigma(Decimal('1.5'))",
+         lambda: api.erf_over_sigma(Decimal("1.5"))),
+        ("sigma_over_erf(Decimal('1.5'))",
+         lambda: api.sigma_over_erf(Decimal("1.5"))),
+        ("eta_closed_form(xi=Decimal(1))",
+         lambda: api.eta_closed_form(
+             api.ShapeParams(Decimal(1), 1.0, 1.0, 1.0, ab))),
+        ("eta_numeric(ref, extent_factor=Decimal(6))",
+         lambda: api.eta_numeric(
+             api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0, w),
+             api.QuadratureSpec(extent_factor=Decimal(6)))),
+    ]
 
 
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
     calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
-             + dispersion_calls(api, rng))
+             + dispersion_calls(api, rng) + number_kind_calls(api))
     record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
