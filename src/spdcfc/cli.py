@@ -37,7 +37,9 @@ SCHEMA_VERSION = 1
 
 _CONFIG_KEYS = {"schema_version", "L_um", "rp_um", "w_um", "mu",
                 "walkoffs", "quadrature"}
-_WALKOFF_KEYS = {"Mp", "M", "QK"}
+# the walk-off keys, in the order of WalkOffSet's fields
+_WALKOFF_NAMES = ("Mp", "M", "QK")
+_WALKOFF_KEYS = set(_WALKOFF_NAMES)
 _QUAD_KEYS = {"n_tau", "n_trans", "extent_factor", "target_rel_err"}
 _RESULT_KEYS = {"eta", "shape"}
 # config entries that must hold numbers, and those that must be whole
@@ -141,38 +143,44 @@ def _load_model(flag_value: str) -> IndexModel:
         raise UsageError(f"Sellmeier file is not valid JSON: {exc}") from exc
 
 
-def _resolve_walkoffs(args, doc: dict) -> tuple[WalkOffSet, tuple | None]:
+def _resolve_walkoffs(args, doc: dict) -> tuple[WalkOffSet, dict,
+                                                 tuple | None]:
     """Walk-offs from the flags, a Sellmeier file or the config file.
 
-    Also returns the (model, geometry) pair the walk-offs were derived
-    from when they came from a Sellmeier file, else None.
+    Returns the WalkOffSet; its values keyed Mp, M and QK as the flags or
+    the file gave them; and the (model, geometry) pair the walk-offs were
+    derived from when they came from a Sellmeier file, else None.
     """
     explicit = (args.Mp, args.M, args.QK)
+    derived = None
     if any(v is not None for v in explicit):
         if args.sellmeier is not None:
             raise UsageError("--Mp/--M/--QK and --sellmeier are mutually exclusive")
         if any(v is None for v in explicit):
             raise UsageError("provide all of --Mp, --M and --QK together")
-        return WalkOffSet(m_p=args.Mp, m=args.M, q_over_k=args.QK), None
-    if args.sellmeier is not None:
+        values = explicit
+    elif args.sellmeier is not None:
         from .dispersion import PhaseMatchGeometry, build_walkoff_set
 
         model = _load_model(args.sellmeier)
-        geometry = PhaseMatchGeometry.degenerate(
+        derived = model, PhaseMatchGeometry.degenerate(
             pump_wavelength=args.pump_nm * 1e-3,
             cut_angle=math.radians(args.cut_angle_deg),
             external_cone_angle=math.radians(args.cone_angle_deg))
-        return build_walkoff_set(model, geometry), (model, geometry)
-    if "walkoffs" in doc:
+        values = vars(build_walkoff_set(*derived)).values()
+    elif "walkoffs" in doc:
         w = doc["walkoffs"]
         missing = _WALKOFF_KEYS - set(w)
         if missing:
             raise UsageError(f"config walkoffs missing {sorted(missing)}")
-        return WalkOffSet(m_p=w["Mp"], m=w["M"], q_over_k=w["QK"]), None
-    # params takes no config file
-    or_config = ", or a config file" if "config" in args else ""
-    raise UsageError(
-        f"no walk-offs: pass --Mp/--M/--QK, or --sellmeier{or_config}")
+        values = [w[key] for key in _WALKOFF_NAMES]
+    else:
+        # params takes no config file
+        or_config = ", or a config file" if "config" in args else ""
+        raise UsageError(
+            f"no walk-offs: pass --Mp/--M/--QK, or --sellmeier{or_config}")
+    given = dict(zip(_WALKOFF_NAMES, values))
+    return WalkOffSet(*given.values()), given, derived
 
 
 def _pick(flag_value, doc: dict, key: str, defaults: dict, missing: str = ""):
@@ -186,13 +194,16 @@ def _pick(flag_value, doc: dict, key: str, defaults: dict, missing: str = ""):
     return value
 
 
-def _resolve_experiment(args, doc: dict, *,
-                        optional: tuple[str, ...] = ()) -> ExperimentConfig:
+def _resolve_experiment(args, doc: dict, *, optional: tuple[str, ...] = ()
+                        ) -> tuple[ExperimentConfig, dict]:
     """Assemble the experiment from flags over config-file values.
 
-    The config keys named in optional may be omitted; they get a
-    placeholder of 1.0 because the subcommand overrides them per point
-    (the sweep grid, the optimized variable).
+    Returns the config and the values it was built from, as the flags or
+    the file gave them, keyed as in a config file: the JSON outputs echo
+    these, so a config file's 53 is echoed as 53.  The config keys named
+    in optional may be omitted; they get a placeholder of 1.0 because
+    the subcommand overrides them per point (the sweep grid, the
+    optimized variable).
     """
     placeholders = dict.fromkeys(optional, 1.0)
     length_um = _pick(None if args.L_mm is None else 1000.0 * args.L_mm, doc,
@@ -212,9 +223,10 @@ def _resolve_experiment(args, doc: dict, *,
     mu = _pick(magnification(args.f_mm, args.dbl_mm)[0] if all(lens)
                else args.mu, doc, "mu", placeholders,
                "magnification: pass --mu or --f-mm/--dbl-mm")
-    return ExperimentConfig(
-        crystal_length=length_um, pump_waist=rp, fiber_mode_radius=w,
-        inverse_magnification=mu, walkoffs=_resolve_walkoffs(args, doc)[0])
+    walkoffs, given_walkoffs, _ = _resolve_walkoffs(args, doc)
+    given = {"L_um": length_um, "rp_um": rp, "w_um": w, "mu": mu,
+             "walkoffs": given_walkoffs}
+    return ExperimentConfig(length_um, rp, w, mu, walkoffs), given
 
 
 def _resolve_quadrature(args, doc: dict) -> QuadratureSpec:
@@ -229,17 +241,6 @@ def _resolve_quadrature(args, doc: dict) -> QuadratureSpec:
                             defaults),
         target_rel_err=_pick(args.target_rel_err, qdoc, "target_rel_err",
                              defaults))
-
-
-def _config_doc(cfg: ExperimentConfig) -> dict:
-    return {
-        "L_um": cfg.crystal_length,
-        "rp_um": cfg.pump_waist,
-        "w_um": cfg.fiber_mode_radius,
-        "mu": cfg.inverse_magnification,
-        "walkoffs": {"Mp": cfg.walkoffs.m_p, "M": cfg.walkoffs.m,
-                     "QK": cfg.walkoffs.q_over_k},
-    }
 
 
 def _parse_numbers(text: str, flag: str, form: str) -> list[float]:
@@ -298,7 +299,7 @@ def _print_json(fields: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args, doc: dict) -> int:
-    cfg = _resolve_experiment(args, doc)
+    cfg, given = _resolve_experiment(args, doc)
     res = efficiency(cfg)
     shape = res.shape
     ab = shape.alpha_beta
@@ -306,7 +307,7 @@ def _cmd_eval(args, doc: dict) -> int:
                     "sigma1": shape.sigma1, "sigma2": shape.sigma2,
                     "alpha1": ab.alpha1, "alpha2": ab.alpha2, "beta": ab.beta}
     if args.format == "json":
-        _print_json({"config": _config_doc(cfg), "eta": res.eta,
+        _print_json({"config": given, "eta": res.eta,
                      "shape": shape_fields})
     else:
         _print_fields({"eta": res.eta, **shape_fields})
@@ -323,7 +324,7 @@ def _cmd_sweep(args, doc: dict) -> int:
     except ValueError as exc:  # DomainError from the grid check is one
         raise UsageError(str(exc)) from exc
     # the sweep grid supplies L and mu; the parser leaves their flags unset
-    template = _resolve_experiment(args, doc, optional=("L_um", "mu"))
+    template = _resolve_experiment(args, doc, optional=("L_um", "mu"))[0]
     spec = SweepSpec(l_grid=tuple(1000.0 * l for l in l_grid_mm),
                      mu_values=mu_values, fixed=template)
     rows = [(r.length / 1000.0, r.mu, r.xi, r.eta)
@@ -346,7 +347,7 @@ def _cmd_optimize(args, doc: dict) -> int:
         raise UsageError(
             f"--bounds must satisfy 0 < lo < hi for {args.var}, got {args.bounds!r}")
     optional = {"mu": ("mu",), "xi": ("mu", "w_um"), "rp": ("rp_um",)}[args.var]
-    cfg = _resolve_experiment(args, doc, optional=optional)
+    cfg = _resolve_experiment(args, doc, optional=optional)[0]
     res = maximize_eta(cfg, args.var, (lo, hi))
     fields = {"variable": res.variable, "argmax": res.argmax,
               "eta_max": res.eta_max, "bracket": list(res.bracket),
@@ -364,7 +365,7 @@ def _cmd_optimize(args, doc: dict) -> int:
 def _cmd_oracle(args, doc: dict) -> int:
     from .oracle import eta_numeric
 
-    cfg = _resolve_experiment(args, doc)
+    cfg, given = _resolve_experiment(args, doc)
     quad = _resolve_quadrature(args, doc)
     eta_closed = efficiency(cfg).eta
     try:
@@ -387,7 +388,7 @@ def _cmd_oracle(args, doc: dict) -> int:
         return 1
     except ConvergenceError as exc:
         if args.format == "json":
-            _print_json({"config": _config_doc(cfg), "eta_closed": eta_closed,
+            _print_json({"config": given, "eta_closed": eta_closed,
                          "eta_numeric": exc.eta_fine,
                          "est_rel_err": exc.est_rel_err, "pass": False})
         else:
@@ -402,7 +403,7 @@ def _cmd_oracle(args, doc: dict) -> int:
     fields = {"eta_closed": eta_closed, "eta_numeric": oracle.eta_numeric,
               "rel_deviation": deviation, "est_rel_err": oracle.est_rel_err}
     if args.format == "json":
-        _print_json({"config": _config_doc(cfg), **fields,
+        _print_json({"config": given, **fields,
                      "pieces": list(oracle.pieces), "pass": ok})
     else:
         _print_fields(fields)
@@ -414,10 +415,8 @@ def _cmd_oracle(args, doc: dict) -> int:
 
 
 def _cmd_params(args, doc: dict) -> int:
-    walkoffs, derived = _resolve_walkoffs(args, doc)
+    walkoffs, walkoff_fields, derived = _resolve_walkoffs(args, doc)
     ab = compute_alpha_beta(walkoffs)
-    walkoff_fields = {"Mp": walkoffs.m_p, "M": walkoffs.m,
-                      "QK": walkoffs.q_over_k}
     ab_fields = {"alpha1": ab.alpha1, "alpha2": ab.alpha2, "beta": ab.beta}
     temporal_fields = None
     if derived is not None:

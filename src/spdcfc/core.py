@@ -149,10 +149,10 @@ def _as_float(name: str, value) -> float:
 
 
 def _store_checked(obj, name: str, value: float) -> None:
-    # a frozen type keeps, for field name, the number its check returned,
-    # so that it computes with a float; a field holding an int or a float
-    # keeps its own value (a config file's 53 is echoed as 53)
-    if type(getattr(obj, name)) not in (int, float):
+    # a frozen type keeps, for field name, the float its check returned,
+    # so that it computes with floats only: an int, a Decimal, ... is
+    # replaced, and a float, which the check returns as it is, stays
+    if type(getattr(obj, name)) is not float:
         object.__setattr__(obj, name, value)
 
 
@@ -411,14 +411,14 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
     4 (1+xi^2)/(2+xi^2)^2.
     """
     # a hand-built ShapeParams skips the xi step: xi*xi underflowing gives
-    # the xi -> 0 limit, and only xi**4 overflowing is out of reach
-    try:
-        prefactor = _prefactor(sp.xi * sp.xi)
-    except OverflowError:
-        raise DomainError(f"xi={sp.xi} too extreme to evaluate") from None
+    # the xi -> 0 limit, and only xi**4, the prefactor's (2 + xi^2)**2,
+    # overflowing is out of reach
+    xi2 = sp.xi * sp.xi
+    if xi2 * xi2 == _INF:
+        raise DomainError(f"xi={sp.xi} too extreme to evaluate")
     # a ratio of 1.0 leaves every sigma's bits as they are
     return EfficiencyResult(
-        eta=_eta((prefactor, sp.sigma_c, sp.sigma1, sp.sigma2), 1.0),
+        eta=_eta((_prefactor(xi2), sp.sigma_c, sp.sigma1, sp.sigma2), 1.0),
         shape=sp)
 
 

@@ -1,0 +1,232 @@
+"""The closed form against an 80-digit `decimal` evaluation of its formula.
+
+The reference reads each float input exactly and evaluates the README
+formula
+
+    eta = 4 (1+xi^2)/(2+xi^2)^2 * erf(sigma_c)/sigma_c
+          * sqrt(sigma_1/erf(sigma_1) * sigma_2/erf(sigma_2))
+
+at 80 significant digits, so it stands for the exact efficiency of the
+float inputs.  Each erf(x)/x is taken as 2/sqrt(pi) e^(-x^2) times a
+series of positive terms (no digits lost to cancellation), and as
+1/x from x = 15 on, where erf(x) is 1 to 98 digits; the 2/sqrt(pi)
+factors of the three cancel but for that 1/x.
+
+Seeded draws over two regions:
+
+- physical: L in [10 um, 10 cm], r_p in [3, 1000] um, w in [1, 10] um,
+  mu in [1, 1000], log-uniform;
+- extreme: L in [1e-100, 1e100] um, r_p and w in [1e-50, 1e50] um, mu in
+  [1e-20, 1e20], log-uniform;
+
+each with walk-offs uniform in [0, 0.3].  Every eta the closed form
+returns lies within ULPS ulps of the reference.  It refuses some inputs
+whose efficiency is a representable number in (0, 1], and each refusal
+belongs to one of two known classes:
+
+- "xi": `xi=... too extreme to evaluate` for xi above 1e77, where the xi
+  step's xi^2 (2 + xi^2) overflows;
+- "one": `eta must be in (0, 1], got 1.0000000000000002`, at small xi
+  and a near-zero length, where the rounded prefactor passes 1.
+
+One point of each class is a strict xfail, so a mend must remove its
+marker.
+"""
+
+import math
+import random
+from decimal import Decimal, localcontext
+
+import pytest
+
+from spdcfc import ExperimentConfig, WalkOffSet, efficiency
+from spdcfc.errors import DomainError
+
+from conftest import REFERENCE_WALKOFFS
+
+DIGITS = 80
+ULPS = 8
+SERIES_END = 15  # erfc(15) < 1e-98
+REGIONS = {
+    # (L, r_p, w, mu) ranges, in um
+    "physical": ((10.0, 1e5), (3.0, 1000.0), (1.0, 10.0), (1.0, 1000.0)),
+    "extreme": ((1e-100, 1e100), (1e-50, 1e50), (1e-50, 1e50),
+                (1e-20, 1e20)),
+}
+COUNTS = {"physical": 1500, "extreme": 3000}
+
+
+def _atan_inv(n: int) -> Decimal:
+    # atan(1/n) by its series, to the context's precision
+    x2 = Decimal(1) / (n * n)
+    term = total = Decimal(1) / n
+    k = 1
+    while True:
+        term *= -x2
+        k += 2
+        new = total + term / k
+        if new == total:
+            return total
+        total = new
+
+
+with localcontext() as _ctx:
+    _ctx.prec = DIGITS
+    # Machin: pi = 16 atan(1/5) - 4 atan(1/239)
+    HALF_SQRT_PI = (16 * _atan_inv(5) - 4 * _atan_inv(239)).sqrt() / 2
+
+
+def _scaled_erf_ratio(x: Decimal) -> Decimal:
+    # sqrt(pi)/2 * erf(x)/x, 1 at x = 0
+    if x >= SERIES_END:
+        return HALF_SQRT_PI / x
+    t = 2 * x * x
+    term = total = Decimal(1)
+    k = 1
+    while True:
+        k += 2
+        term = term * t / k
+        new = total + term
+        if new == total:
+            return total * (-x * x).exp()
+        total = new
+
+
+def _terms(cfg: ExperimentConfig) -> tuple:
+    # (prefactor, kc, k1, k2) of the exact inputs, with sigma_x = (L/r_p) k_x
+    w, mu, rp, mp, m, q = map(Decimal, (
+        cfg.fiber_mode_radius, cfg.inverse_magnification, cfg.pump_waist,
+        *vars(cfg.walkoffs).values()))
+    xi2 = (w * mu / rp) ** 2
+    a1, a2 = mp * mp + q * q, (mp - m) ** 2 + q * q
+    beta = m * m + 4 * q * q
+    return (4 * (1 + xi2) / (2 + xi2) ** 2,
+            (((a1 + a2) * xi2 + beta) / (xi2 * (2 + xi2))).sqrt(),
+            (a1 / (1 + xi2)).sqrt(), (a2 / (1 + xi2)).sqrt())
+
+
+def reference_eta(cfg: ExperimentConfig) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        prefactor, kc, k1, k2 = _terms(cfg)
+        ratio = Decimal(cfg.crystal_length) / Decimal(cfg.pump_waist)
+        s = _scaled_erf_ratio
+        return prefactor * s(ratio * kc) / (s(ratio * k1)
+                                            * s(ratio * k2)).sqrt()
+
+
+def ulps(eta: float, ref: Decimal) -> float:
+    return float(abs(Decimal(eta) - ref) / Decimal(math.ulp(float(ref))))
+
+
+def refusal_class(cfg: ExperimentConfig, exc: DomainError) -> str | None:
+    text = str(exc)
+    xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
+    if text == f"xi={xi} too extreme to evaluate" and xi > 1e77:
+        return "xi"
+    if text == "eta must be in (0, 1], got 1.0000000000000002":
+        return "one"
+    return None
+
+
+def draw(rng: random.Random, region: str) -> ExperimentConfig:
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    sizes = [log_uniform(*span) for span in REGIONS[region]]
+    return ExperimentConfig(*sizes, WalkOffSet(
+        *(rng.uniform(0.0, 0.3) for _ in range(3))))
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_closed_form_within_8_ulps_of_the_reference(region):
+    rng = random.Random(f"closed-form-reference:{region}")
+    worst, refusals = 0.0, {"xi": 0, "one": 0}
+    for _ in range(COUNTS[region]):
+        cfg = draw(rng, region)
+        ref = reference_eta(cfg)
+        try:
+            eta = efficiency(cfg).eta
+        except DomainError as exc:
+            kind = refusal_class(cfg, exc)
+            assert kind, f"{cfg}: unknown refusal {exc}"
+            # the refused efficiency is a representable number in (0, 1]
+            assert 0.0 < float(ref) <= 1.0, cfg
+            refusals[kind] += 1
+            continue
+        worst = max(worst, ulps(eta, ref))
+    assert worst <= ULPS
+    if region == "physical":
+        assert refusals == {"xi": 0, "one": 0}
+
+
+def test_thin_crystal_limit_is_the_prefactor():
+    # at L/r_p = 1e-30 every sigma is below 1e-26: eta is the prefactor
+    rng = random.Random("closed-form-reference:thin")
+    for _ in range(300):
+        xi = 10.0 ** rng.uniform(-3.0, 3.0)
+        cfg = ExperimentConfig(1e-30, 1.0, xi, 1.0, WalkOffSet(
+            *(rng.uniform(0.0, 0.3) for _ in range(3))))
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            prefactor = _terms(cfg)[0]
+        assert ulps(efficiency(cfg).eta, prefactor) <= ULPS, cfg
+
+
+def test_plateau_limit():
+    # at L/r_p = 1e7 every sigma is past 15: eta is the plateau
+    # prefactor * sqrt(k1 k2) / kc, with no erf left in it
+    rng = random.Random("closed-form-reference:plateau")
+    for _ in range(300):
+        xi = 10.0 ** rng.uniform(-3.0, 3.0)
+        cfg = ExperimentConfig(1e7, 1.0, xi, 1.0, WalkOffSet(
+            *(rng.uniform(0.01, 0.3) for _ in range(3))))
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            prefactor, kc, k1, k2 = _terms(cfg)
+            plateau = prefactor * (k1 * k2).sqrt() / kc
+        assert ulps(efficiency(cfg).eta, plateau) <= ULPS, cfg
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_eta_does_not_increase_with_length(region):
+    # each eta lies within ULPS ulps of an exact eta that does not
+    # increase with L, so a step up of more than 2 ULPS ulps would show a
+    # fault; past the plateau's onset the rounding alone moves eta
+    rng = random.Random(f"closed-form-reference:monotone:{region}")
+    lo, hi = map(math.log10, REGIONS[region][0])
+    lengths = [10.0 ** (lo + (hi - lo) * k / 59) for k in range(60)]
+    for _ in range(300):
+        template = draw(rng, region)
+        previous = None
+        for length in lengths:
+            cfg = ExperimentConfig(length, template.pump_waist,
+                                   template.fiber_mode_radius,
+                                   template.inverse_magnification,
+                                   template.walkoffs)
+            try:
+                eta = efficiency(cfg).eta
+            except DomainError as exc:
+                assert refusal_class(cfg, exc), f"{cfg}: {exc}"
+                continue
+            if previous is not None:
+                assert eta <= previous + 2 * ULPS * math.ulp(previous), cfg
+            previous = eta
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="class 'one': the rounded prefactor passes 1")
+def test_cli_point_where_eta_rounds_to_one():
+    # spdcfc eval --L-mm 5.3e-17 --rp-um 53 --w-um 8.399933920043905e-05
+    # --mu 1 with the reference walk-offs
+    cfg = ExperimentConfig(1000.0 * 5.3e-17, 53.0, 8.399933920043905e-05,
+                           1.0, REFERENCE_WALKOFFS)
+    assert ulps(efficiency(cfg).eta, reference_eta(cfg)) <= ULPS
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="class 'xi': xi^2 (2 + xi^2) overflows past 1e77")
+def test_xi_near_1e78():
+    cfg = ExperimentConfig(3000.0, 1.0, 1e78, 1.0, REFERENCE_WALKOFFS)
+    assert 0.0 < float(reference_eta(cfg)) <= 1.0
+    assert ulps(efficiency(cfg).eta, reference_eta(cfg)) <= ULPS

@@ -318,6 +318,18 @@ def test_eta_closed_form_hand_built_extreme_xi():
     assert eta_closed_form(ShapeParams(1e-170, 0.0, 0.0, 0.0, ab)).eta == 1.0
 
 
+@pytest.mark.parametrize("xi", [1.35e154, 1e160, 1e300, 1.7976931348623157e308])
+@pytest.mark.parametrize("sigmas", [(0.0, 0.0, 0.0), (0.3, 1.0, 30.0),
+                                    (1e300, 5e-324, 1e-4)])
+def test_eta_closed_form_xi_whose_square_overflows_is_too_extreme(xi, sigmas):
+    # xi*xi is inf: the refusal names xi, not the NaN prefactor's eta or a
+    # sigma that the prefactor never meets
+    ab = compute_alpha_beta(REFERENCE_WALKOFFS)
+    with pytest.raises(DomainError) as exc:
+        eta_closed_form(ShapeParams(xi, *sigmas, ab))
+    assert str(exc.value) == f"xi={xi} too extreme to evaluate"
+
+
 def _wide_configs(seed: int, count: int):
     # log-uniform lengths, waists, radii and magnifications over 1e-200..1e300,
     # so that xi, the sigmas and eta all reach their failure modes

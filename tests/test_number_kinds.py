@@ -1,10 +1,11 @@
-"""Numbers that are neither int nor float are computed with as the floats
-the number rule reads them as.
+"""Numbers that are not floats are computed with as the floats the number
+rule reads them as.
 
-A `Decimal`, a `Fraction` or a numpy scalar passes the rule; each call
-below must then give what the call with its float gives, and the frozen
-types store that float.  An int or a float keeps its own value, so a
-config file's integer is echoed as it was written.
+A `Decimal`, a `Fraction`, a numpy scalar or an int passes the rule;
+each call below must then give what the call with its float gives, and
+the frozen types store that float.  A config file's integer is still
+echoed as it was written: the command line echoes the values it was
+given, not the stored floats.
 """
 
 import json
@@ -91,8 +92,10 @@ def test_frozen_types_store_floats(kind):
 
 
 def test_ints_keep_their_value():
+    # as the float of the same value
     cfg = ExperimentConfig(3000, 53, 1.48, 49, REFERENCE_WALKOFFS)
-    assert (type(cfg.crystal_length), type(cfg.pump_waist)) == (int, int)
+    assert (cfg.crystal_length, cfg.pump_waist) == (3000, 53)
+    assert (type(cfg.crystal_length), type(cfg.pump_waist)) == (float, float)
     assert efficiency(cfg) == efficiency(
         ExperimentConfig(3000.0, 53.0, 1.48, 49.0, REFERENCE_WALKOFFS))
 

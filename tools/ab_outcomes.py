@@ -10,7 +10,8 @@ plus the text of any warning it raised.  The calls cover the closed
 form, the sweeps and optimizer, the quadrature oracle, the Sellmeier
 front end and the experimental bookkeeping, on random inputs over many
 decades mixed with 0, -1, 5e-324, 1e300, +-inf, nan, the erf-series
-cutoff, values that are not numbers and ``Decimal`` numbers.  The list
+cutoff, values that are not numbers, ``Decimal`` numbers and int fields
+from 1 to ``10**308``.  The list
 depends only on the seed, so a dump of one checkout under two
 environments, or of two checkouts, can be compared entry by entry.
 
@@ -282,11 +283,47 @@ def number_kind_calls(api) -> list[tuple[str, object]]:
     ]
 
 
+def int_calls(api) -> list[tuple[str, object]]:
+    # int fields from 1 to 10**308, a uniform number of digits each, and
+    # int walk-offs of 0; their own stream, so the calls above keep theirs
+    ints = random.Random(f"{SEED}:int-fields")
+
+    def draw() -> int:
+        return ints.randrange(1, 10 ** ints.randint(0, 308) + 1)
+
+    calls = []
+    for k in range(300):
+        args = (draw(), draw(), draw(), draw(),
+                ints.choice((REF_WALKOFFS, (0, 0.07243, 0), (0, 0, 0))))
+        config = lambda a=args: api.ExperimentConfig(*a[:4],
+                                                     api.WalkOffSet(*a[4]))
+        calls.append((f"efficiency{args!r}",
+                      lambda c=config: api.efficiency(c())))
+        for var, bounds in (("mu", (1, 200)), ("rp", (3, 1000)),
+                            ("xi", (1, 10))):
+            calls.append((f"maximize_eta{args!r}, {var!r}, {bounds!r}",
+                          lambda c=config, v=var, b=bounds:
+                          api.maximize_eta(c(), v, b)))
+        if k % 5 == 0:
+            lengths = tuple(sorted({args[0], 1000, 3000}))
+            calls.append((f"efficiency_curve{args!r}, {lengths!r}",
+                          lambda c=config, ls=lengths: api.efficiency_curve(
+                              api.SweepSpec(ls, (1, 25, 49, 10 ** 4), c()))))
+            calls.append((f"ceiling_scan{args[1:]!r}, {lengths!r}",
+                          lambda a=args, ls=lengths: api.ceiling_scan(
+                              a[1], api.WalkOffSet(*a[4]), ls)))
+        if k % 20 == 0:
+            calls.append((f"eta_numeric{args!r}",
+                          lambda c=config: api.eta_numeric(c())))
+    return calls
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
     calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
-             + dispersion_calls(api, rng) + number_kind_calls(api))
+             + dispersion_calls(api, rng) + number_kind_calls(api)
+             + int_calls(api))
     record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
