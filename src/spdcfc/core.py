@@ -65,6 +65,11 @@ _INF = math.inf
 # the quotient is 0/0 at sigma = 0 and loses bits at subnormal sigma.
 EROS_SERIES_CUTOFF = 1e-4
 
+# The exact eta is at most 1 (Cauchy-Schwarz), and the closed form lands
+# within 8 ulps of it; an eta past 1 by no more than 8 ulps of a value
+# just below 1 is that rounding, and is returned as 1.
+_ETA_ROUNDED_ONE = 1.0 + 8 * 2.0 ** -53
+
 # Defaults the command-line parser reads when it is built.  They are
 # defined here, in a module every command loads, and re-exported by
 # ``dispersion`` and ``sweep``, so building the parser loads neither.
@@ -387,6 +392,8 @@ def _eta(terms: tuple[float, float, float, float], ratio: float) -> float:
     eta = prefactor * (_erf(sigma_c) / sigma_c if sigma_c >= cut
                        else _erf_over_sigma(sigma_c)) / arms
     if not 0.0 < eta <= 1.0:
+        if 1.0 < eta <= _ETA_ROUNDED_ONE:
+            return 1.0
         raise DomainError(f"eta must be in (0, 1], got {eta}")
     return eta
 

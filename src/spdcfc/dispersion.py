@@ -2,12 +2,19 @@
 
 Sellmeier coefficients are data, not code: they ship in a versioned JSON
 file (see ``data/bbo_sellmeier.json``) with a literature citation, and
-users may point the tools at their own file.  Only negative uniaxial
-(or isotropic) materials are accepted.  The supported dispersion form is
+users may point the tools at their own file.  The supported dispersion
+form is
 
     "sellmeier-1":  n^2 = c0 + c1 / (lambda^2 - c2) - c3 * lambda^2
 
-with the wavelength in micrometres.
+with the wavelength in micrometres.  A model is accepted only if, over
+its whole validity range, neither polarization has a pole, both indices
+are real and > 1, and n_o >= n_e (negative uniaxial or isotropic
+materials).  Each condition is decided exactly, from the least value of
+a polynomial in lambda^2 over the range.
+
+The geometry is degenerate: its generated wavelength is not an input
+but is derived as twice the pump.
 
 The cut angle defaults to 42.9 deg for the bundled BBO data.  That value
 is a package default chosen to reproduce common type-II geometries near
@@ -59,8 +66,8 @@ class IndexModel:
         lo, hi = self.range_um
         if not 0.0 < lo < hi:
             raise DomainError(f"invalid validity range [{lo}, {hi}]")
-        # a pole (lambda^2 = c2) inside the range, which the samples below
-        # can step over or land on; refused even when c1 = 0
+        # a pole (lambda^2 = c2) inside the range, refused even when
+        # c1 = 0; outside it, u - c2 keeps one sign on the range
         for name in ("ordinary", "extraordinary"):
             c2 = getattr(self, name)[2]
             if lo * lo <= c2 <= hi * hi:
@@ -68,17 +75,50 @@ class IndexModel:
                     f"{self.material}: {name} Sellmeier pole at "
                     f"{math.sqrt(c2):.4f} um inside the range [{lo}, {hi}]")
         # n real and > 1 across the range, and n_o >= n_e (negative
-        # uniaxial or isotropic; positive uniaxial is out of scope).
-        for lam in [lo + (hi - lo) * k / 32.0 for k in range(33)]:
-            n_o2 = _sellmeier1(self.ordinary, lam)
-            n_e2 = _sellmeier1(self.extraordinary, lam)
-            if n_o2 <= 1.0 or n_e2 <= 1.0:
-                raise DomainError(
-                    f"{self.material}: index not real and > 1 at {lam:.4f} um")
-            if n_o2 < n_e2:
-                raise DomainError(
-                    f"{self.material}: n_o < n_e at {lam:.4f} um; "
-                    "only negative uniaxial crystals are supported")
+        # uniaxial or isotropic; positive uniaxial is out of scope),
+        # decided exactly: with u = lambda^2 and u - c2 of one sign on the
+        # range, (n^2 - 1)(u - c2) is a quadratic in u and
+        # (n_o^2 - n_e^2)(u - c2o)(u - c2e) a cubic, each signed to be
+        # positive where its condition holds
+        u_lo, u_hi = lo * lo, hi * hi
+        both = 1.0  # the sign of (u - c2o)(u - c2e)
+        for c0, c1, c2, c3 in (self.ordinary, self.extraordinary):
+            sign = 1.0 if c2 < u_lo else -1.0
+            both *= sign
+            least, u = _least(sign, u_lo, u_hi, 0.0, -c3, c0 - 1.0 + c3 * c2,
+                              c1 - (c0 - 1.0) * c2)
+            if not least > 0.0:
+                raise DomainError(f"{self.material}: index not real and > 1 "
+                                  f"at {math.sqrt(u):.4f} um")
+        (c0o, c1o, c2o, c3o), (c0e, c1e, c2e, c3e) = (self.ordinary,
+                                                      self.extraordinary)
+        d0, d3, total, product = c0o - c0e, c3o - c3e, c2o + c2e, c2o * c2e
+        least, u = _least(both, u_lo, u_hi, -d3,
+                          d0 + d3 * total,
+                          c1o - c1e - d0 * total - d3 * product,
+                          d0 * product + c1e * c2o - c1o * c2e)
+        if not least >= 0.0:
+            raise DomainError(
+                f"{self.material}: n_o < n_e at {math.sqrt(u):.4f} um; "
+                "only negative uniaxial crystals are supported")
+
+
+def _least(sign: float, u_lo: float, u_hi: float,
+           *coeffs: float) -> tuple[float, float]:
+    # (p(u), u) at the least p over [u_lo, u_hi], for the cubic
+    # p = sign (k3 u^3 + k2 u^2 + k1 u + k0): at an end, or at a real root
+    # of p' = a u^2 + b u + c, both roots taken in the form that does not
+    # cancel (a = 0 leaves the one root -c/b)
+    k3, k2, k1, k0 = (sign * k for k in coeffs)
+    a, b, c = 3.0 * k3, 2.0 * k2, k1
+    points = [u_lo, u_hi]
+    disc = b * b - 4.0 * a * c
+    if disc >= 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        points += [q / a] if a else []
+        points += [c / q] if q else []
+    return min((((k3 * u + k2) * u + k1) * u + k0, u)
+               for u in points if u_lo <= u <= u_hi)
 
 
 def _numbers(name: str, values, size: int) -> tuple[float, ...]:
@@ -155,11 +195,10 @@ class PhaseMatchGeometry:
     """Wavelengths and angles of the degenerate down-conversion geometry.
 
     Wavelengths in micrometres, angles in radians.  The generated
-    wavelength is twice the pump (degenerate operation only).
+    wavelength is derived, twice the pump (degenerate operation only).
     """
 
     pump_wavelength: float
-    degenerate_wavelength: float
     cut_angle: float
     external_cone_angle: float
 
@@ -169,22 +208,20 @@ class PhaseMatchGeometry:
             _store_checked(self, name, _as_float(name, value))
         if not self.pump_wavelength > 0.0:  # NaN included
             raise DomainError("pump_wavelength must be > 0")
-        if not math.isclose(self.degenerate_wavelength,
-                            2.0 * self.pump_wavelength, rel_tol=1e-9):
-            raise DomainError(
-                "degenerate_wavelength must equal twice the pump wavelength")
         if not 0.0 < self.cut_angle < math.pi / 2.0:
             raise DomainError("cut_angle must lie in (0, pi/2)")
         if not 0.0 <= self.external_cone_angle < math.pi / 2.0:
             raise DomainError("external_cone_angle must lie in [0, pi/2)")
 
+    @property
+    def degenerate_wavelength(self) -> float:
+        """Wavelength of each generated photon, twice the pump."""
+        return 2.0 * self.pump_wavelength
+
     @classmethod
     def degenerate(cls, pump_wavelength: float, cut_angle: float,
                    external_cone_angle: float) -> "PhaseMatchGeometry":
-        # read before it is doubled
-        pump_wavelength = _as_float("pump_wavelength", pump_wavelength)
-        return cls(pump_wavelength, 2.0 * pump_wavelength, cut_angle,
-                   external_cone_angle)
+        return cls(pump_wavelength, cut_angle, external_cone_angle)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,18 @@ Seeded draws over two regions:
 each with walk-offs uniform in [0, 0.3].  Every eta the closed form
 returns lies within ULPS ulps of the reference.  It refuses some inputs
 whose efficiency is a representable number in (0, 1], and each refusal
-belongs to one of two known classes:
+belongs to a known class:
 
 - "xi": `xi=... too extreme to evaluate` for xi above 1e77, where the xi
-  step's xi^2 (2 + xi^2) overflows;
-- "one": `eta must be in (0, 1], got 1.0000000000000002`, at small xi
-  and a near-zero length, where the rounded prefactor passes 1.
+  step's xi^2 (2 + xi^2) overflows.
 
-One point of each class is a strict xfail, so a mend must remove its
-marker.
+One point of the class is a strict xfail, so a mend must remove its
+marker.  A second class is mended:
+
+- "one": `eta must be in (0, 1], got 1.0000000000000002`, at small xi
+  and a near-zero length, where the rounded prefactor passes 1.  An eta
+  past 1 by at most 8 ulps is now returned as 1, and the command-line
+  point that showed it is an ordinary test.
 """
 
 import math
@@ -214,8 +217,6 @@ def test_eta_does_not_increase_with_length(region):
             previous = eta
 
 
-@pytest.mark.xfail(strict=True, raises=DomainError,
-                   reason="class 'one': the rounded prefactor passes 1")
 def test_cli_point_where_eta_rounds_to_one():
     # spdcfc eval --L-mm 5.3e-17 --rp-um 53 --w-um 8.399933920043905e-05
     # --mu 1 with the reference walk-offs

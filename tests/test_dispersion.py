@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,15 @@ def test_index_model_rejects_bad_data():
                    (2.0, 0.2))
 
 
+def test_positive_uniaxial_between_samples_is_refused():
+    # n_o < n_e only on [0.2059, 0.2180] um, a sliver of the range next
+    # to the ordinary pole at 0.2048 um
+    with pytest.raises(DomainError, match=r"^x: n_o < n_e at 0\.2120 um; "
+                                          "only negative uniaxial"):
+        IndexModel("x", [7.433889, 0.008311, 0.041928, 0.027003],
+                   [4.261654, 0.030622, 0.040955, 0.008877], (0.205, 1.06))
+
+
 def test_isotropic_model_allowed():
     model = constant_model(1.7, 1.7)
     assert ordinary_index(model, 0.8) == principal_extraordinary_index(model, 0.8)
@@ -149,11 +159,16 @@ def test_walk_off_reproduces_reference_pump_value():
 
 def test_geometry_validation():
     with pytest.raises(DomainError):
-        PhaseMatchGeometry(0.415, 0.9, 0.7, 0.06)
-    with pytest.raises(DomainError):
         PhaseMatchGeometry.degenerate(0.415, 0.0, 0.06)
     with pytest.raises(DomainError):
         PhaseMatchGeometry.degenerate(0.415, 2.0, 0.06)
+
+
+def test_replaced_pump_moves_the_pair_wavelength():
+    # the pair wavelength is derived, so a replaced pump keeps it consistent
+    geometry = replace(reference_geometry(), pump_wavelength=0.4)
+    assert geometry.degenerate_wavelength == 0.8
+    assert reference_geometry().degenerate_wavelength == 2.0 * PUMP_UM
 
 
 def test_q_over_kbar_values():
@@ -283,4 +298,4 @@ def test_geometry_rejects_nan_pump_wavelength():
     with pytest.raises(DomainError, match="pump_wavelength"):
         PhaseMatchGeometry.degenerate(math.nan, 0.7, 0.06)
     with pytest.raises(DomainError, match="pump_wavelength"):
-        PhaseMatchGeometry(math.nan, math.nan, 0.7, 0.06)
+        PhaseMatchGeometry(math.nan, 0.7, 0.06)

@@ -27,7 +27,7 @@ from spdcfc.oracle import QuadratureSpec
 from conftest import REFERENCE_WALKOFFS
 
 AB = AlphaBeta(0.01, 0.001, 0.02)
-GEOMETRY = PhaseMatchGeometry(0.415, 0.83, 0.75, 0.06)
+GEOMETRY = PhaseMatchGeometry(0.415, 0.75, 0.06)
 
 
 def config(num) -> ExperimentConfig:
@@ -41,8 +41,7 @@ CALLS = {
     "maximize_eta": lambda num: maximize_eta(config(num), "xi", (0.1, 10)),
     "ceiling_scan": lambda num: ceiling_scan(num("1.5"), REFERENCE_WALKOFFS,
                                              [1000.0, 2000.0]),
-    "geometry": lambda num: PhaseMatchGeometry(num("0.415"), num("0.83"),
-                                               0.75, 0.06),
+    "geometry": lambda num: PhaseMatchGeometry(num("0.415"), 0.75, 0.06),
     "q_over_kbar": lambda num: q_over_kbar(GEOMETRY, num("1.5")),
     "erf_over_sigma": lambda num: erf_over_sigma(num("1.5")),
     "sigma_over_erf": lambda num: sigma_over_erf(num("1.5")),
@@ -83,7 +82,7 @@ def test_frozen_types_store_floats(kind):
         cfg.inverse_magnification,
         shape.xi, shape.sigma_c, shape.sigma1, shape.sigma2,
         EfficiencyResult(num, shape).eta,
-        *vars(PhaseMatchGeometry(num, kind("1"), num, num)).values(),
+        *vars(PhaseMatchGeometry(num, num, num)).values(),
         *vars(TemporalParams(num, num)).values(),
         QuadratureSpec(extent_factor=kind("6")).extent_factor,
         QuadratureSpec(target_rel_err=num).target_rel_err,

@@ -139,13 +139,13 @@ def test_temporal_params_text_is_not_stored():
         TemporalParams("1", 2.0)
 
 
-@pytest.mark.parametrize("field", ["pump_wavelength", "degenerate_wavelength",
-                                   "cut_angle", "external_cone_angle"])
+@pytest.mark.parametrize("field", ["pump_wavelength", "cut_angle",
+                                   "external_cone_angle"])
 @pytest.mark.parametrize("value, shown", NOT_NUMBERS.values(),
                          ids=NOT_NUMBERS.keys())
 def test_geometry_refuses_non_numbers(field, value, shown):
-    fields = {"pump_wavelength": 0.415, "degenerate_wavelength": 0.83,
-              "cut_angle": 0.75, "external_cone_angle": 0.06}
+    fields = {"pump_wavelength": 0.415, "cut_angle": 0.75,
+              "external_cone_angle": 0.06}
     with pytest.raises(DomainError) as exc:
         PhaseMatchGeometry(**{**fields, field: value})
     assert_names(exc, field, shown)

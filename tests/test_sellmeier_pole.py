@@ -2,10 +2,10 @@
 is built.
 
 n^2 = c0 + c1 / (lambda^2 - c2) - c3 lambda^2 has a pole at
-lambda = sqrt(c2).  Inside the range the 33 sample wavelengths of the
-index check can land on it (a division by zero) or step over it (a model
-that builds, then fails on a negative n^2 between samples).  Both end in
-one DomainError that names the polarization and the pole.
+lambda = sqrt(c2).  Inside the range it leaves n^2 undefined there, and
+the exact index check needs lambda^2 - c2 of one sign on the range.
+A pole anywhere in the range, its ends included, ends in one DomainError
+that names the polarization and the pole.
 """
 
 import json

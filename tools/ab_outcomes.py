@@ -11,9 +11,10 @@ form, the sweeps and optimizer, the quadrature oracle, the Sellmeier
 front end and the experimental bookkeeping, on random inputs over many
 decades mixed with 0, -1, 5e-324, 1e300, +-inf, nan, the erf-series
 cutoff, values that are not numbers, ``Decimal`` numbers and int fields
-from 1 to ``10**308``.  The list
-depends only on the seed, so a dump of one checkout under two
-environments, or of two checkouts, can be compared entry by entry.
+from 1 to ``10**308``, and the index-model check on scaled copies of the
+bundled Sellmeier coefficients.  The list depends only on the seed, so
+a dump of one checkout under two environments, or of two checkouts, can
+be compared entry by entry.
 
 ``compare`` prints every call whose outcome differs and exits 1 if
 any does, 0 if none does.  Standard library only, besides spdcfc (and
@@ -255,7 +256,7 @@ def number_kind_calls(api) -> list[tuple[str, object]]:
     # with as floats
     w = api.WalkOffSet(*REF_WALKOFFS)
     cfg = lambda: api.ExperimentConfig(Decimal(3000), 53.0, 1.48, 49.0, w)
-    geometry = api.PhaseMatchGeometry(0.415, 0.83, 0.75, 0.06)
+    geometry = api.PhaseMatchGeometry.degenerate(0.415, 0.75, 0.06)
     ab = api.AlphaBeta(0.01, 0.02, 0.03)
     return [
         ("efficiency(L=Decimal(3000))", lambda: api.efficiency(cfg())),
@@ -264,9 +265,9 @@ def number_kind_calls(api) -> list[tuple[str, object]]:
          lambda: api.maximize_eta(cfg(), "xi", (0.1, 10))),
         ("ceiling_scan(Decimal('1.5'), ref, [1000.0, 2000.0])",
          lambda: api.ceiling_scan(Decimal("1.5"), w, [1000.0, 2000.0])),
-        ("PhaseMatchGeometry(Decimal('0.415'), Decimal('0.83'), 0.75, 0.06)",
-         lambda: api.PhaseMatchGeometry(Decimal("0.415"), Decimal("0.83"),
-                                        0.75, 0.06)),
+        ("PhaseMatchGeometry.degenerate(Decimal('0.415'), 0.75, 0.06)",
+         lambda: api.PhaseMatchGeometry.degenerate(Decimal("0.415"), 0.75,
+                                                   0.06)),
         ("q_over_kbar(g, Decimal('1.5'))",
          lambda: api.q_over_kbar(geometry, Decimal("1.5"))),
         ("erf_over_sigma(Decimal('1.5'))",
@@ -318,12 +319,29 @@ def int_calls(api) -> list[tuple[str, object]]:
     return calls
 
 
+def sellmeier_domain_calls(api) -> list[tuple[str, object]]:
+    # index models whose coefficients are the bundled ones, each scaled by
+    # U[0.3, 3], on the bundled range: built, or refused for a pole, an
+    # index not > 1 or n_o < n_e; their own stream, so the calls above
+    # keep theirs
+    scale = random.Random(f"{SEED}:sellmeier-domain")
+    bbo = api.bundled_bbo()
+    calls = []
+    for _ in range(2000):
+        args = tuple(tuple(c * scale.uniform(0.3, 3.0) for c in coeffs)
+                     for coeffs in (bbo.ordinary, bbo.extraordinary))
+        calls.append((f"IndexModel{args!r}",
+                      lambda a=args: api.IndexModel("scaled", *a,
+                                                    bbo.range_um)))
+    return calls
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
     calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
              + dispersion_calls(api, rng) + number_kind_calls(api)
-             + int_calls(api))
+             + int_calls(api) + sellmeier_domain_calls(api))
     record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
