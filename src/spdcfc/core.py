@@ -23,14 +23,19 @@ waist.  The efficiency is
 The error function is the standard library's ``math.erf``; only the
 ratio erf(sigma)/sigma switches to its Taylor series near sigma = 0.
 The arithmetic runs on plain floats in two private steps, split by what
-each part depends on.  The xi step turns xi and the crystal numbers
-into the prefactor 4 (1+xi^2)/(2+xi^2)^2 and three rates k, so that
-each sigma is (L/r_p) k.  The length step takes those four terms and
-L/r_p, forms the three sigmas and turns them into eta.  Each step
-checks its own inputs and results.  The public functions wrap them in
-the validated dataclasses; the sweeps run the xi step once per
-distinct xi and the length step once per point, on inputs validated
-once, so both give the same bits.
+each part depends on.  The xi step takes w, mu, r_p and the crystal
+numbers, forms xi = w*mu/r_p and turns it into the prefactor
+4 (1+xi^2)/(2+xi^2)^2 and three rates k, so that each sigma is
+(L/r_p) k; it is the one place xi is formed.  Where the product w*mu
+leaves the normal float range, by overflow or underflow, xi is formed
+from the mantissas and exponents with the same two roundings, so it
+has the bits it has on w, mu and r_p scaled by a power of two into
+that range.  The length step takes the xi step's terms and L/r_p,
+forms the three sigmas and turns them into eta.  Each step checks its
+own inputs and results.  The public functions wrap them in the
+validated dataclasses; the sweeps run the xi step once per distinct xi
+and the length step once per point, on inputs validated once, so both
+give the same bits.
 
 The length step runs once per point of every sweep, optimization and
 ceiling scan, and there a Python call costs more than its arithmetic.
@@ -60,6 +65,9 @@ _SQRT8 = 2.0 * math.sqrt(2.0)
 _erf = math.erf
 _sqrt = math.sqrt
 _INF = math.inf
+
+# The least normal float: a product w*mu below it has lost bits.
+_NORMAL_MIN = 2.0 ** -1022
 
 # Below this sigma the erf(sigma)/sigma ratio switches to its Taylor series:
 # the quotient is 0/0 at sigma = 0 and loses bits at subnormal sigma.
@@ -348,18 +356,29 @@ def _prefactor(xi2: float) -> float:
     return 4.0 * (1.0 + xi2) / (2.0 + xi2) ** 2
 
 
-def _xi_terms(xi: float,
-              ab: AlphaBeta) -> tuple[float, float, float, float]:
-    # the xi step: (prefactor, kc, k1, k2), with sigma_x = (L/r_p) * k_x
-    if not 0.0 < xi < _INF:
-        raise DomainError(f"xi must be finite and > 0, got {xi}")
+def _xi_terms(w: float, mu: float, rp: float,
+              ab: AlphaBeta) -> tuple[float, ...]:
+    # the xi step: (xi, prefactor, kc, k1, k2), with xi = w*mu/r_p and
+    # sigma_x = (L/r_p) * k_x
+    product = w * mu
+    xi = product / rp
+    if not (0.0 < xi < _INF and product >= _NORMAL_MIN):
+        # w*mu overflowed, underflowed or is subnormal: the normal path's
+        # two roundings on the mantissas, then the exponents
+        (mw, ew), (mm, em), (mr, er) = map(math.frexp, (w, mu, rp))
+        try:
+            xi = math.ldexp(mw * mm / mr, ew + em - er)
+        except OverflowError:
+            xi = _INF
+        if not 0.0 < xi < _INF:
+            raise DomainError(f"xi must be finite and > 0, got {xi}")
     xi2 = xi * xi
     # 0 once xi*xi underflows, inf once it overflows; the prefactor's
     # (2 + xi2)**2 overflows exactly when this product does
     denominator = xi2 * (2.0 + xi2)
     if not 0.0 < denominator < _INF:
         raise DomainError(f"xi={xi} too extreme to evaluate")
-    return (_prefactor(xi2),
+    return (xi, _prefactor(xi2),
             _sqrt(((ab.alpha1 + ab.alpha2) * xi2 + ab.beta) / denominator),
             _sqrt(ab.alpha1 / (1.0 + xi2)),
             _sqrt(ab.alpha2 / (1.0 + xi2)))
@@ -373,11 +392,11 @@ def _check_sigmas(sigma_c: float, sigma1: float, sigma2: float) -> None:
             f"sigma1={sigma1}, sigma2={sigma2}")
 
 
-def _eta(terms: tuple[float, float, float, float], ratio: float) -> float:
+def _eta(terms: tuple[float, ...], ratio: float) -> float:
     # the length step: eta from the xi step's terms and L/r_p, inline on
     # the common path (module docstring); the test below is
     # _check_sigmas's own, and a series sigma goes to _erf_over_sigma
-    prefactor, kc, k1, k2 = terms
+    _, prefactor, kc, k1, k2 = terms
     sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
     if not (sigma_c < _INF and sigma1 < _INF and sigma2 < _INF):
         _check_sigmas(sigma_c, sigma1, sigma2)
@@ -401,8 +420,8 @@ def _eta(terms: tuple[float, float, float, float], ratio: float) -> float:
 def shape_params(cfg: ExperimentConfig) -> ShapeParams:
     """Reduce an experiment configuration to its dimensionless shape."""
     ab = compute_alpha_beta(cfg.walkoffs)
-    xi = cfg.fiber_mode_radius * cfg.inverse_magnification / cfg.pump_waist
-    _, kc, k1, k2 = _xi_terms(xi, ab)
+    xi, _, kc, k1, k2 = _xi_terms(
+        cfg.fiber_mode_radius, cfg.inverse_magnification, cfg.pump_waist, ab)
     ratio = cfg.crystal_length / cfg.pump_waist
     sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
     _check_sigmas(sigma_c, sigma1, sigma2)
@@ -425,7 +444,8 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
         raise DomainError(f"xi={sp.xi} too extreme to evaluate")
     # a ratio of 1.0 leaves every sigma's bits as they are
     return EfficiencyResult(
-        eta=_eta((_prefactor(xi2), sp.sigma_c, sp.sigma1, sp.sigma2), 1.0),
+        eta=_eta((sp.xi, _prefactor(xi2), sp.sigma_c, sp.sigma1, sp.sigma2),
+                 1.0),
         shape=sp)
 
 

@@ -8,10 +8,11 @@ form is
     "sellmeier-1":  n^2 = c0 + c1 / (lambda^2 - c2) - c3 * lambda^2
 
 with the wavelength in micrometres.  A model is accepted only if, over
-its whole validity range, neither polarization has a pole, both indices
-are real and > 1, and n_o >= n_e (negative uniaxial or isotropic
-materials).  Each condition is decided exactly, from the least value of
-a polynomial in lambda^2 over the range.
+its whole validity range, neither polarization has a pole, both n^2 are
+finite floats, both indices are real and > 1, and n_o >= n_e (negative
+uniaxial or isotropic materials).  Finiteness is decided from a bound on
+each term of n^2 over the range; each of the others exactly, from the
+least value of a polynomial in lambda^2 over the range.
 
 The geometry is degenerate: its generated wavelength is not an input
 but is derived as twice the pump.
@@ -66,21 +67,27 @@ class IndexModel:
         lo, hi = self.range_um
         if not 0.0 < lo < hi:
             raise DomainError(f"invalid validity range [{lo}, {hi}]")
-        # a pole (lambda^2 = c2) inside the range, refused even when
-        # c1 = 0; outside it, u - c2 keeps one sign on the range
+        u_lo, u_hi = lo * lo, hi * hi
         for name in ("ordinary", "extraordinary"):
-            c2 = getattr(self, name)[2]
-            if lo * lo <= c2 <= hi * hi:
+            c0, c1, c2, c3 = getattr(self, name)
+            # a pole (lambda^2 = c2) inside the range, refused even when
+            # c1 = 0; outside it, u - c2 keeps one sign on the range
+            if u_lo <= c2 <= u_hi:
                 raise DomainError(
                     f"{self.material}: {name} Sellmeier pole at "
                     f"{math.sqrt(c2):.4f} um inside the range [{lo}, {hi}]")
+            # n^2 finite: each term is at most its bound on the range, and
+            # rounding is monotone, so no evaluation of the form overflows
+            if not (abs(c0) + abs(c1) / min(abs(u_lo - c2), abs(u_hi - c2))
+                    + abs(c3) * u_hi) < math.inf:
+                raise DomainError(f"{self.material}: {name} n^2 is not finite "
+                                  f"on the range [{lo}, {hi}]")
         # n real and > 1 across the range, and n_o >= n_e (negative
         # uniaxial or isotropic; positive uniaxial is out of scope),
         # decided exactly: with u = lambda^2 and u - c2 of one sign on the
         # range, (n^2 - 1)(u - c2) is a quadratic in u and
         # (n_o^2 - n_e^2)(u - c2o)(u - c2e) a cubic, each signed to be
         # positive where its condition holds
-        u_lo, u_hi = lo * lo, hi * hi
         both = 1.0  # the sign of (u - c2o)(u - c2e)
         for c0, c1, c2, c3 in (self.ordinary, self.extraordinary):
             sign = 1.0 if c2 < u_lo else -1.0
@@ -187,7 +194,19 @@ def walk_off_tangent(model: IndexModel, lam: float, theta: float) -> float:
     returned as a magnitude; zero along and perpendicular to the axis.
     """
     theta, n_o2, n_e2, n = _extraordinary(model, lam, theta)
-    return abs(0.5 * n**2 * math.sin(2.0 * theta) * (1.0 / n_e2 - 1.0 / n_o2))
+    return abs(0.5 * _power(model, lam, n, 2) * math.sin(2.0 * theta)
+               * (1.0 / n_e2 - 1.0 / n_o2))
+
+
+def _power(model: IndexModel, lam: float, n: float, k: int) -> float:
+    # n**k of an index n at lam, or a DomainError where it overflows: a
+    # finite n^2 can still round past the float range at an angle, and
+    # n^3 leaves it from n ~ 5.6e102 on
+    try:
+        return n ** k
+    except OverflowError:
+        raise DomainError(f"{model.material}: index {n} at {lam} um: n^{k} "
+                          "is past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -260,7 +279,10 @@ def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
 def _slope(coeffs: tuple[float, ...], u: float) -> float:
     # -d(n^2)/du of the sellmeier-1 form, with u = lambda^2
     c0, c1, c2, c3 = coeffs
-    return c1 / (u - c2) ** 2 + c3
+    try:
+        return c1 / (u - c2) ** 2 + c3
+    except OverflowError:  # a pole far from the range: divide twice
+        return c1 / (u - c2) / (u - c2) + c3
 
 
 def _group_index(model: IndexModel, lam: float, theta: float) -> float:
@@ -271,9 +293,9 @@ def _group_index(model: IndexModel, lam: float, theta: float) -> float:
     theta, n_o2, n_e2, n = _extraordinary(model, lam, theta)
     u = lam * lam
     c, s = math.cos(theta), math.sin(theta)
-    return n + u * n ** 3 * (c * c * _slope(model.ordinary, u) / (n_o2 * n_o2)
-                             + s * s * _slope(model.extraordinary, u)
-                             / (n_e2 * n_e2))
+    return n + u * _power(model, lam, n, 3) * (
+        c * c * _slope(model.ordinary, u) / (n_o2 * n_o2)
+        + s * s * _slope(model.extraordinary, u) / (n_e2 * n_e2))
 
 
 def group_delay_params(model: IndexModel,

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _as_float, _eta, _require_pair, _xi_terms,
-                   compute_alpha_beta)
+                   WalkOffSet, _as_float, _check_fields, _eta, _require_pair,
+                   _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,7 +77,12 @@ class SweepResult:
     def __post_init__(self):
         if not self.rows:
             raise DomainError("sweep produced no rows")
-        if any(not 0.0 < r.eta <= 1.0 for r in self.rows):
+        try:
+            inside = all(0.0 < r.eta <= 1.0 for r in self.rows)
+        except (AttributeError, TypeError):  # not rows, or an eta not a number
+            raise DomainError(f"rows must be SweepRows with numeric etas, got "
+                              f"{self.rows!r:.60}") from None
+        if not inside:
             raise DomainError("sweep row with eta outside (0, 1]")
 
 
@@ -97,8 +102,7 @@ class OptResult:
     boundary: bool
 
     def __post_init__(self):
-        if not 0.0 < self.eta_max <= 1.0:
-            raise DomainError(f"eta_max must be in (0, 1], got {self.eta_max}")
+        _check_fields(self, ("eta_max",), "in (0, 1]")
 
 
 def _row_error(length: float, mu: float, exc: DomainError) -> DomainError:
@@ -114,12 +118,12 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
     # so its first row, at the first length, is where it is raised
     columns, failed = [], None
     for mu in spec.mu_values:
-        xi = w * mu / rp
         try:
-            columns.append((mu, xi, _xi_terms(xi, ab)))
+            terms = _xi_terms(w, mu, rp, ab)
         except DomainError as exc:
             failed = mu, exc
             break
+        columns.append((mu, terms[0], terms))
     rows = []
     # a row gets its __dict__, in field order, in one step instead of
     # through the frozen __init__, which pays one object.__setattr__ per
@@ -164,8 +168,8 @@ def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
     ratio = length / rp
 
     def eta_at(value: float) -> float:
-        # xi through mu and back, as _with_variable and shape_params do
-        return _eta(_xi_terms(w * (value * rp / w) / rp, ab), ratio)
+        # xi through its mu, as _with_variable passes it to shape_params
+        return _eta(_xi_terms(w, value * rp / w, rp, ab), ratio)
     return eta_at
 
 
@@ -226,10 +230,10 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
         ratio = length / rp
 
         def eta_at(value: float) -> float:
-            return _eta(_xi_terms(w * value / rp, ab), ratio)
+            return _eta(_xi_terms(w, value, rp, ab), ratio)
     elif variable == "rp":
         def eta_at(value: float) -> float:
-            return _eta(_xi_terms(w * mu / value, ab), length / value)
+            return _eta(_xi_terms(w, mu, value, ab), length / value)
     else:
         eta_at = _eta_of_xi(length, rp, w, ab)
 
@@ -263,9 +267,9 @@ def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
     pump_waist = template.pump_waist  # as the check read it
     ab = compute_alpha_beta(walkoffs)
     xi_grid = _prescan_grid(lo, hi)
-    # xi through mu and back, as _eta_of_xi takes it at w = 1, where
+    # xi through its mu, as _eta_of_xi passes it at w = 1, where
     # multiplying and dividing by w are exact
-    terms = [_xi_terms(v * pump_waist / pump_waist, ab) for v in xi_grid]
+    terms = [_xi_terms(1.0, v * pump_waist, pump_waist, ab) for v in xi_grid]
     out = []
     for length in grid:
         ratio = length / pump_waist

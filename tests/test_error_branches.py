@@ -13,7 +13,7 @@ import pytest
 from spdcfc import AlphaBeta, OracleResult, PhaseMatchGeometry, ShapeParams
 from spdcfc import oracle
 from spdcfc.errors import DomainError
-from spdcfc.sweep import SweepResult, SweepRow
+from spdcfc.sweep import OptResult, SweepResult, SweepRow
 
 from test_cli import REFERENCE_FLAGS, run_cli
 
@@ -117,6 +117,32 @@ def test_sweep_result_rejects_an_eta_outside_the_unit_interval(eta):
     rows = (SweepRow(3000.0, 49.0, 1.37, 0.4), SweepRow(3000.0, 60.0, 1.6, eta))
     with pytest.raises(DomainError, match=r"sweep row with eta outside \(0, 1\]"):
         SweepResult(rows=rows)
+
+
+@pytest.mark.parametrize("rows", [
+    (SweepRow(3000.0, 49.0, 1.37, None),),
+    (SweepRow(3000.0, 49.0, 1.37, 0.4), SweepRow(3000.0, 60.0, 1.6, "0.5")),
+    5,
+    (5,),
+], ids=["eta-None", "eta-text", "rows-not-iterable", "row-not-a-row"])
+def test_sweep_result_rejects_rows_that_are_not_rows_with_numeric_etas(
+        rows):
+    with pytest.raises(DomainError,
+                       match=r"^rows must be SweepRows with numeric etas, "):
+        SweepResult(rows=rows)
+
+
+@pytest.mark.parametrize("eta_max, message", [
+    ("x", "eta_max must be a number, got 'x'"),
+    (None, "eta_max must be a number, got None"),
+    (math.nan, "eta_max must be finite, got nan"),
+    (0.0, "eta_max must be in (0, 1], got 0.0"),
+    (1.5, "eta_max must be in (0, 1], got 1.5"),
+])
+def test_opt_result_reads_eta_max_by_the_number_rule(eta_max, message):
+    with pytest.raises(DomainError) as exc:
+        OptResult("xi", 1.0, eta_max, (0.1, 10.0), 20, False)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("pieces", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0),

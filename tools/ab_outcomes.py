@@ -11,8 +11,11 @@ form, the sweeps and optimizer, the quadrature oracle, the Sellmeier
 front end and the experimental bookkeeping, on random inputs over many
 decades mixed with 0, -1, 5e-324, 1e300, +-inf, nan, the erf-series
 cutoff, values that are not numbers, ``Decimal`` numbers and int fields
-from 1 to ``10**308``, and the index-model check on scaled copies of the
-bundled Sellmeier coefficients.  The list depends only on the seed, so
+from 1 to ``10**308``, the index-model check on scaled copies of the
+bundled Sellmeier coefficients, configurations whose product w*mu
+leaves the normal float range beside copies scaled back into it, and
+index models whose arithmetic reaches past the float range.  The list
+depends only on the seed, so
 a dump of one checkout under two environments, or of two checkouts, can
 be compared entry by entry.
 
@@ -336,12 +339,82 @@ def sellmeier_domain_calls(api) -> list[tuple[str, object]]:
     return calls
 
 
+def xi_range_calls(api) -> list[tuple[str, object]]:
+    # configurations whose w*mu overflows, is subnormal or underflows to 0
+    # while xi is normal, each beside its copy with L, r_p and w scaled by
+    # a power of two so that w*mu is normal; their own stream, so the
+    # calls above keep theirs
+    scale = random.Random(f"{SEED}:xi-range")
+    families = (((1e6, 1e12), (2e3, 1e5), (1e-4, 1e-1), 1025),
+                ((1e-200, 1e-20), (1e-12, 1e-2), (1.0, 1e4), -1023),
+                ((1e-200, 1e-40), (1e-30, 1e-25), (1.0, 1e4), -1090))
+    pairs = [((3000.0, 1e305, 1e300, 1e9), -8),
+             ((3e-297, 1e-300, 1e-160, 1e-150), 600)]
+    for mu_range, xi_range, ratio_range, target in families:
+        for _ in range(20):
+            w = scale.uniform(1.0, 10.0)
+            mu = log_uniform(scale, *mu_range)
+            rp = w * mu / log_uniform(scale, *xi_range)
+            length = rp * log_uniform(scale, *ratio_range)
+            k = target - math.frexp(w * mu)[1]
+            pairs.append(((math.ldexp(length, k), math.ldexp(rp, k),
+                           math.ldexp(w, k), mu), -k))
+    calls = []
+    for wide, k in pairs:
+        for args in (wide, (*(math.ldexp(v, k) for v in wide[:3]), wide[3])):
+            config = lambda a=args: api.ExperimentConfig(
+                *a, api.WalkOffSet(*REF_WALKOFFS))
+            length, rp, _, mu = args
+            calls.append((f"efficiency{args!r}",
+                          lambda c=config: api.efficiency(c())))
+            calls.append((f"efficiency_curve{args!r}",
+                          lambda c=config, a=args: api.efficiency_curve(
+                              api.SweepSpec((a[0] / 2.0, a[0]),
+                                            (a[3] / 4.0, a[3], 2.0 * a[3]),
+                                            c()))))
+            for var, bounds in (("mu", (mu / 4.0, 4.0 * mu)),
+                                ("rp", (rp / 4.0, 4.0 * rp))):
+                calls.append((f"maximize_eta{args!r}, {var!r}, {bounds!r}",
+                              lambda c=config, v=var, b=bounds:
+                              api.maximize_eta(c(), v, b)))
+    return calls
+
+
+def sellmeier_overflow_calls(api) -> list[tuple[str, object]]:
+    # index models whose n^2 overflows on the range, whose index cubed
+    # overflows, and whose pole lies far below the range, each built in
+    # the call and then evaluated at seeded geometries; their own stream,
+    # so the calls above keep theirs
+    geometries = random.Random(f"{SEED}:sellmeier-overflow")
+    bbo = api.bundled_bbo()
+    far_o, far_e = ((c0, c1, -1e160, c3)
+                    for c0, c1, _, c3 in (bbo.ordinary, bbo.extraordinary))
+    models = (((1e308, 1e308, 0.0, -1e308), (1e308, 0.0, 0.0, 0.0),
+               (0.3, 1.0)),
+              ((1e206, 0.0, 0.0, 0.0), (0.99e206, 0.0, 0.0, 0.0), (0.3, 1.2)),
+              (bbo.ordinary, far_e, bbo.range_um),
+              (far_o, far_e, bbo.range_um))
+    calls = []
+    for _ in range(25):
+        args = (geometries.uniform(0.25, 0.5),
+                math.radians(geometries.uniform(20.0, 70.0)),
+                math.radians(geometries.uniform(0.0, 10.0)))
+        for model in models:
+            for fn in (api.build_walkoff_set, api.group_delay_params):
+                calls.append((f"{fn.__name__}{model!r}, {args!r}",
+                              lambda f=fn, m=model, a=args: f(
+                                  api.IndexModel("overflow", *m),
+                                  api.PhaseMatchGeometry.degenerate(*a))))
+    return calls
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
     calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
              + dispersion_calls(api, rng) + number_kind_calls(api)
-             + int_calls(api) + sellmeier_domain_calls(api))
+             + int_calls(api) + sellmeier_domain_calls(api)
+             + xi_range_calls(api) + sellmeier_overflow_calls(api))
     record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
