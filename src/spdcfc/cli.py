@@ -321,8 +321,10 @@ def _cmd_sweep(args, doc: dict) -> int:
     try:
         mu_values = _validated_grid(
             "--mu", [float(p) for p in args.mu_list.split(",") if p.strip()])
-    except ValueError as exc:  # DomainError from the grid check is one
+    except DomainError as exc:
         raise UsageError(str(exc)) from exc
+    except ValueError as exc:  # float() of an item that is not a number
+        raise UsageError(f"--mu must be numeric, got {args.mu_list!r}") from exc
     # the sweep grid supplies L and mu; the parser leaves their flags unset
     template = _resolve_experiment(args, doc, optional=("L_um", "mu"))[0]
     spec = SweepSpec(l_grid=tuple(1000.0 * l for l in l_grid_mm),

@@ -154,13 +154,6 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _as_float(name: str, value) -> float:
-    # the lenient rule: a float is left as it is, so a non-finite one
-    # meets the caller's own check and message; anything else goes
-    # through _require_finite
-    return value if type(value) is float else _require_finite(name, value)
-
-
 def _store_checked(obj, name: str, value: float) -> None:
     # a frozen type keeps, for field name, the float its check returned,
     # so that it computes with floats only: an int, a Decimal, ... is
@@ -176,8 +169,8 @@ def _check_fields(obj, names: tuple[str, ...], rule: str) -> None:
         _store_checked(obj, name, _require_in(name, getattr(obj, name), rule))
 
 
-def _require_pair(name: str, values, read=_require_finite) -> tuple:
-    # (lo, hi) from values, each item through read(name, item) as it is
+def _require_pair(name: str, values) -> tuple:
+    # (lo, hi) from values, each item through the number rule as it is
     # met: as when unpacking lo, hi, a bad item among the first three
     # speaks before the count does, and no fourth item is read
     try:
@@ -186,7 +179,7 @@ def _require_pair(name: str, values, read=_require_finite) -> tuple:
         items = iter(())
     pair = []
     for item in items:
-        pair.append(read(name, item))
+        pair.append(_require_finite(name, item))
         if len(pair) > 2:
             break
     if len(pair) != 2:
@@ -195,12 +188,20 @@ def _require_pair(name: str, values, read=_require_finite) -> tuple:
     return tuple(pair)
 
 
-# the ranges _require_in checks, keyed by the text its message prints
+# the ranges _require_in checks, keyed by the text its message prints: a
+# number checked against one passes _require_finite first, so it is
+# refused as "<name> must be finite, got <value>" when NaN or infinite
+# and as "<name> must be <range>, got <value>" outside the range
 _RANGES = {
     "> 0": lambda v: v > 0.0,
     ">= 0": lambda v: v >= 0.0,
+    ">= 1": lambda v: v >= 1.0,
+    ">= 4": lambda v: v >= 4.0,
     "in [0, 1)": lambda v: 0.0 <= v < 1.0,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "in (0, pi/2)": lambda v: 0.0 < v < math.pi / 2.0,
+    "in [0, pi/2)": lambda v: 0.0 <= v < math.pi / 2.0,
 }
 
 
@@ -326,10 +327,7 @@ def mode_field_radius(mfd: float) -> float:
 
 def pump_waist_from_diameter(d: float) -> float:
     """Pump waist r_p from a 1/e^2 intensity beam diameter, d / (2 sqrt(2))."""
-    d = _require_finite("d", d)
-    if d <= 0.0:
-        raise DomainError(f"beam diameter must be > 0, got {d}")
-    return d / _SQRT8
+    return _require_in("beam diameter", d, "> 0") / _SQRT8
 
 
 def magnification(f: float, d_bl: float) -> tuple[float, float]:
@@ -339,15 +337,19 @@ def magnification(f: float, d_bl: float) -> tuple[float, float]:
     in the same unit; returns (mu, d_al) with d_al in that unit.
     Requires d_bl > f so a real image forms.
     """
-    f = _require_finite("f", f)
+    f = _require_in("focal length", f, "> 0")
     d_bl = _require_finite("d_bl", d_bl)
-    if f <= 0.0:
-        raise DomainError(f"focal length must be > 0, got {f}")
     if d_bl <= f:
         raise NoRealImageError(
             f"object distance {d_bl} must exceed focal length {f}")
     mu = d_bl / f - 1.0
-    d_al = 1.0 / (1.0 / f - 1.0 / d_bl)
+    diff = 1.0 / f - 1.0 / d_bl
+    d_al = 1.0 / diff if diff else _INF
+    # diff is 0 where the reciprocals round alike, NaN where both overflow
+    # and too small to invert where d_al is past the float range
+    if not d_al < _INF:
+        raise DomainError(f"image distance 1/(1/f - 1/d_bl) is not a finite "
+                          f"float for f={f}, d_bl={d_bl}")
     return mu, d_al
 
 

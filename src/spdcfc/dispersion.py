@@ -32,8 +32,8 @@ from importlib import resources
 from pathlib import Path
 
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
-from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _as_float,
-                   _require_finite, _require_pair, _store_checked)
+from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _check_fields,
+                   _require_finite, _require_in, _require_pair, _store_checked)
 from .errors import DomainError, WavelengthRangeError
 
 # Width at which the phase-matching bisection stops.  Far above the float
@@ -97,17 +97,28 @@ class IndexModel:
             if not least > 0.0:
                 raise DomainError(f"{self.material}: index not real and > 1 "
                                   f"at {math.sqrt(u):.4f} um")
-        (c0o, c1o, c2o, c3o), (c0e, c1e, c2e, c3e) = (self.ordinary,
-                                                      self.extraordinary)
-        d0, d3, total, product = c0o - c0e, c3o - c3e, c2o + c2e, c2o * c2e
-        least, u = _least(both, u_lo, u_hi, -d3,
-                          d0 + d3 * total,
-                          c1o - c1e - d0 * total - d3 * product,
-                          d0 * product + c1e * c2o - c1o * c2e)
+        coeffs = _cubic(*self.ordinary, *self.extraordinary)
+        if not all(map(math.isfinite, coeffs)):
+            # a product past the float range (poles far from the range):
+            # the same cubic exactly, scaled by a positive number so that
+            # its largest coefficient is +-1
+            from fractions import Fraction
+            exact = _cubic(*map(Fraction, self.ordinary + self.extraordinary))
+            top = max(map(abs, exact)) or 1
+            coeffs = [float(k / top) for k in exact]
+        least, u = _least(both, u_lo, u_hi, *coeffs)
         if not least >= 0.0:
             raise DomainError(
                 f"{self.material}: n_o < n_e at {math.sqrt(u):.4f} um; "
                 "only negative uniaxial crystals are supported")
+
+
+def _cubic(c0o, c1o, c2o, c3o, c0e, c1e, c2e, c3e) -> tuple:
+    # (n_o^2 - n_e^2)(u - c2o)(u - c2e) as its coefficients of u^3, u^2, u
+    # and 1, in floats or in fractions
+    d0, d3, total, product = c0o - c0e, c3o - c3e, c2o + c2e, c2o * c2e
+    return (-d3, d0 + d3 * total, c1o - c1e - d0 * total - d3 * product,
+            d0 * product + c1e * c2o - c1o * c2e)
 
 
 def _least(sign: float, u_lo: float, u_hi: float,
@@ -144,9 +155,8 @@ def _sellmeier1(coeffs: tuple[float, ...], lam: float) -> float:
 
 
 def _check_range(model: IndexModel, lam: float) -> float:
-    # returns lam, read by core's lenient rule (a NaN float gets the range
-    # message)
-    lam = _as_float("lam", lam)
+    # returns lam, read by core's number rule
+    lam = _require_finite("lam", lam)
     lo, hi = model.range_um
     if not lo <= lam <= hi:
         raise WavelengthRangeError(
@@ -194,7 +204,11 @@ def walk_off_tangent(model: IndexModel, lam: float, theta: float) -> float:
     returned as a magnitude; zero along and perpendicular to the axis.
     """
     theta, n_o2, n_e2, n = _extraordinary(model, lam, theta)
-    return abs(0.5 * _power(model, lam, n, 2) * math.sin(2.0 * theta)
+    try:
+        sin2 = math.sin(2.0 * theta)
+    except ValueError:  # 2 theta overflowed, from |theta| ~ 9e307 on
+        sin2 = 2.0 * math.sin(theta) * math.cos(theta)
+    return abs(0.5 * _power(model, lam, n, 2) * sin2
                * (1.0 / n_e2 - 1.0 / n_o2))
 
 
@@ -222,15 +236,9 @@ class PhaseMatchGeometry:
     external_cone_angle: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            # a NaN float gets the messages below
-            _store_checked(self, name, _as_float(name, value))
-        if not self.pump_wavelength > 0.0:  # NaN included
-            raise DomainError("pump_wavelength must be > 0")
-        if not 0.0 < self.cut_angle < math.pi / 2.0:
-            raise DomainError("cut_angle must lie in (0, pi/2)")
-        if not 0.0 <= self.external_cone_angle < math.pi / 2.0:
-            raise DomainError("external_cone_angle must lie in [0, pi/2)")
+        _check_fields(self, ("pump_wavelength",), "> 0")
+        _check_fields(self, ("cut_angle",), "in (0, pi/2)")
+        _check_fields(self, ("external_cone_angle",), "in [0, pi/2)")
 
     @property
     def degenerate_wavelength(self) -> float:
@@ -267,10 +275,8 @@ def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
     sine of the internal angle, sin(asin(sin(ext)/n_bar)).  n_bar = 1
     is allowed as the vacuum (no-refraction) limit.
     """
-    value = _require_finite("n_bar", n_bar)
-    if value < 1.0:
-        raise DomainError(f"n_bar must be >= 1, got {n_bar}")
-    s = math.sin(geometry.external_cone_angle) / value
+    n_bar = _require_in("n_bar", n_bar, ">= 1")
+    s = math.sin(geometry.external_cone_angle) / n_bar
     if abs(s) >= 1.0:
         raise DomainError("external cone angle does not refract into the crystal")
     return math.sin(math.asin(s))

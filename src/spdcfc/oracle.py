@@ -63,8 +63,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import (ExperimentConfig, WalkOffSet, _as_float, _require_finite,
-                   _store_checked)
+from .core import ExperimentConfig, WalkOffSet, _check_fields, _require_finite
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -131,15 +130,8 @@ class QuadratureSpec:
                 f"grid too large: n_tau={self.n_tau}, n_trans={self.n_trans} "
                 f"(n_tau <= {MAX_N_TAU}, n_tau * n_trans <= "
                 f"{MAX_GRID_POINTS // 16})")
-        extent = _require_finite("extent_factor", self.extent_factor)
-        if extent < 4.0:
-            raise DomainError(
-                f"extent_factor must be >= 4, got {self.extent_factor}")
-        target = _require_finite("target_rel_err", self.target_rel_err)
-        if not 0.0 < target < 1.0:
-            raise DomainError("target_rel_err must be in (0, 1)")
-        _store_checked(self, "extent_factor", extent)
-        _store_checked(self, "target_rel_err", target)
+        _check_fields(self, ("extent_factor",), ">= 4")
+        _check_fields(self, ("target_rel_err",), "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -396,7 +388,7 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
     Real-valued for the Gaussian profiles used here; maximal at tau = 0
     and constant in tau when all drift rates vanish.
     """
-    tau = _as_float("tau", tau)  # a NaN float keeps the range message
+    tau = _require_finite("tau", tau)
     if not 0.0 <= tau <= cfg.crystal_length:
         raise DomainError(
             f"tau must lie in [0, {cfg.crystal_length}], got {tau}")

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _as_float, _check_fields, _eta, _require_pair,
-                   _xi_terms, compute_alpha_beta)
+                   WalkOffSet, _check_fields, _eta, _require_finite,
+                   _require_pair, _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -19,13 +19,13 @@ _REL_TOL = 1e-6
 
 def _validated_grid(name: str, values) -> tuple[float, ...]:
     try:
-        grid = tuple([_as_float(name, v) for v in values])
+        grid = tuple([_require_finite(name, v) for v in values])
     except TypeError:  # not iterable: None, a bare number, ...
         raise DomainError(f"{name} must be a sequence of numbers, "
                           f"got {values!r:.60}") from None
     if not grid:
         raise DomainError(f"{name} must not be empty")
-    if any(v <= 0.0 or math.isnan(v) or math.isinf(v) for v in grid):
+    if any(v <= 0.0 for v in grid):
         raise DomainError(f"{name} values must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"{name} must be strictly increasing")
@@ -161,7 +161,15 @@ def _with_variable(cfg: ExperimentConfig, variable: str,
 
 
 def _prescan_grid(lo: float, hi: float) -> list[float]:
-    return [lo + (hi - lo) * k / (_N_PRESCAN - 1) for k in range(_N_PRESCAN)]
+    grid = [lo + (hi - lo) * k / (_N_PRESCAN - 1) for k in range(_N_PRESCAN)]
+    if grid[-1] == math.inf:
+        # (hi - lo) * 63 overflowed: each step from (hi - lo) / 64, exact
+        # at this width, and scaled back, so it has the bits it has on
+        # the bracket scaled by a power of two
+        width = math.ldexp(hi - lo, -6)
+        grid = [lo + math.ldexp(width * k / (_N_PRESCAN - 1), 6)
+                for k in range(_N_PRESCAN)]
+    return grid
 
 
 def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
@@ -180,6 +188,12 @@ def _refine(eta_at, grid: list[float], grid_etas: list[float]) -> tuple:
     best = max(range(_N_PRESCAN), key=grid_etas.__getitem__)
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _N_PRESCAN - 1)]
+    if a + b == math.inf:
+        # the search's a + b would overflow: the same search at half
+        # scale, where each point has its bits halved exactly
+        argmax, eta_max, (a, b), iterations = _refine(
+            lambda v: eta_at(2.0 * v), [0.5 * v for v in grid], grid_etas)
+        return 2.0 * argmax, eta_max, (2.0 * a, 2.0 * b), iterations
     bracket = (a, b)
 
     x1 = b - _INV_PHI * (b - a)
@@ -214,8 +228,8 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     bracket shrinks below 1e-6 relative to the variable.  The
     returned maximum is never below the best pre-scan point.
     """
-    lo, hi = _require_pair("bounds", bounds, _as_float)
-    if not (lo > 0.0 and hi > lo and math.isfinite(lo) and math.isfinite(hi)):
+    lo, hi = _require_pair("bounds", bounds)
+    if not 0.0 < lo < hi:
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
     # both ends must make a valid configuration; the points in between
     # then only need the shape checks of the closed form

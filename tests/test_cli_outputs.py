@@ -333,7 +333,7 @@ def test_oracle_nonfinite_extent_fails_before_numpy_loads(extent):
 def test_nan_pump_wavelength_is_named(command, capsys):
     code, out, err = run_cli([*command, "--pump-nm", "nan"], capsys)
     assert (code, out) == (1, "")
-    assert err == "error: pump_wavelength must be > 0\n"
+    assert err == "error: pump_wavelength must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("content", [

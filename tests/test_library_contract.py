@@ -85,8 +85,8 @@ def test_grids_that_are_not_sequences_are_refused(value):
     (None, "tau must be a number, got None"),
     ("1500", "tau must be a number, got '1500'"),
     (10 ** 400, "tau must be finite, got a number past the float range"),
-    # a float keeps the range message, NaN included
-    (math.nan, "tau must lie in [0, 3000.0], got nan"),
+    # a NaN float is refused by the number rule, a finite one by the range
+    (math.nan, "tau must be finite, got nan"),
     (3001.0, "tau must lie in [0, 3000.0], got 3001.0"),
 ], ids=["none", "text", "huge-int", "nan", "past-L"])
 def test_pair_overlap_density_reads_tau_by_the_number_rule(tau, message):

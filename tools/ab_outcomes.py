@@ -408,13 +408,110 @@ def sellmeier_overflow_calls(api) -> list[tuple[str, object]]:
     return calls
 
 
+def number_rule_calls(api) -> list[tuple[str, object]]:
+    # the sites with a check of their own after the number rule, at NaN
+    # and +-inf; the checks by core's range rule that have their own
+    # names or ranges, just outside and at their ranges' ends; thin
+    # lenses a few floats past focus; angles whose double overflows;
+    # brackets whose search arithmetic overflows; and models whose poles
+    # lie far below their range.  Their own stream, so the calls above
+    # keep theirs
+    rng = random.Random(f"{SEED}:number-rule")
+    bbo = api.bundled_bbo()
+    walkoffs = api.WalkOffSet(*REF_WALKOFFS)
+    cfg = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0, walkoffs)
+    fields = (0.415, 0.75, 0.06)
+
+    def geometry(k, v):
+        return api.PhaseMatchGeometry(*fields[:k], v, *fields[k + 1:])
+
+    half_pi = math.pi / 2.0
+    sites = {
+        "SweepSpec.l_grid": lambda v: api.SweepSpec((1e3, v), (49.0,), cfg),
+        "SweepSpec.mu_values": lambda v: api.SweepSpec((1e3,), (v,), cfg),
+        "ceiling_scan.l_grid": lambda v: api.ceiling_scan(53.0, walkoffs,
+                                                          [v]),
+        "maximize_eta.lo": lambda v: api.maximize_eta(cfg, "xi", (v, 1.0)),
+        "maximize_eta.hi": lambda v: api.maximize_eta(cfg, "mu", (1.0, v)),
+        "ordinary_index": lambda v: api.ordinary_index(bbo, v),
+        "principal_extraordinary_index":
+            lambda v: api.principal_extraordinary_index(bbo, v),
+        "extraordinary_index": lambda v: api.extraordinary_index(bbo, v, 0.7),
+        "walk_off_tangent": lambda v: api.walk_off_tangent(bbo, v, 0.7),
+        "pair_overlap_density": lambda v: api.pair_overlap_density(cfg, v),
+        **{f"PhaseMatchGeometry.{k}": lambda v, k=k: geometry(k, v)
+           for k in range(3)},
+    }
+    calls = [(f"{name}({v!r})", lambda f=fn, v=v: f(v))
+             for name, fn in sites.items()
+             for v in (math.nan, math.inf, -math.inf)]
+    folded = {
+        "PhaseMatchGeometry.0": (lambda v: geometry(0, v), (0.0, -5e-324)),
+        "PhaseMatchGeometry.1": (lambda v: geometry(1, v),
+                                 (0.0, half_pi, math.nextafter(half_pi, 2.0))),
+        "PhaseMatchGeometry.2": (lambda v: geometry(2, v),
+                                 (-5e-324, half_pi)),
+        "QuadratureSpec.extent_factor": (
+            lambda v: api.QuadratureSpec(extent_factor=v),
+            (math.nextafter(4.0, 0.0), 4.0)),
+        "QuadratureSpec.target_rel_err": (
+            lambda v: api.QuadratureSpec(target_rel_err=v), (0.0, 1.0)),
+        "q_over_kbar": (lambda v: api.q_over_kbar(geometry(0, 0.415), v),
+                        (math.nextafter(1.0, 0.0), 1.0)),
+        "pump_waist_from_diameter": (api.pump_waist_from_diameter,
+                                     (0.0, -5e-324)),
+        "magnification.f": (lambda v: api.magnification(v, 780.0),
+                            (0.0, -5e-324)),
+    }
+    calls += [(f"{name}({v!r})", lambda f=fn, v=v: f(v))
+              for name, (fn, values) in folded.items() for v in values]
+    lenses = [(5e-324, 1e-323), (1e-310, 3e-310),
+              (0.0018241151702338225, 0.0018241151702338228)]
+    for _ in range(40):
+        f = rng.uniform(1.0, 100.0)
+        lenses.append((f, f + rng.randint(1, 4) * math.ulp(f)))
+    calls += [(f"magnification{args!r}",
+               lambda a=args: api.magnification(*a)) for args in lenses]
+    for _ in range(20):
+        args = (rng.uniform(0.25, 1.0),
+                rng.choice((1.0, -1.0)) * rng.uniform(8.99e307, 1.79e308))
+        calls.append((f"walk_off_tangent{args!r}",
+                      lambda a=args: api.walk_off_tangent(bbo, *a)))
+    for k in range(20):
+        variable = ("rp", "mu")[k % 2]
+        hi = rng.uniform(6e306, 1.79e308)
+        lo = hi * rng.uniform(0.001, 0.5)
+        scale = 1e300 * rng.uniform(1.0, 10.0)
+        if variable == "rp":  # w, mu with xi in [2, 20] at lo
+            args = (lo * rng.uniform(0.01, 1.0), lo, scale,
+                    rng.uniform(2.0, 20.0) * (lo / scale))
+        else:  # r_p, w with xi in [0.02, 0.5] at lo
+            args = (scale * rng.uniform(0.01, 100.0), scale,
+                    rng.uniform(0.02, 0.5) * scale / lo, lo)
+        calls.append((f"maximize_eta{args!r}, {variable!r}, {(lo, hi)!r}",
+                      lambda a=args, v=variable, b=(lo, hi): api.maximize_eta(
+                          api.ExperimentConfig(*a, walkoffs), v, b)))
+    for _ in range(20):
+        c2 = -(10.0 ** rng.uniform(140.0, 308.0))
+        args = tuple(tuple(c * rng.uniform(0.3, 3.0) for c in coeffs[:2])
+                     + (c2, coeffs[3] * rng.uniform(0.3, 3.0))
+                     for coeffs in (bbo.ordinary, bbo.extraordinary))
+        calls.append((f"IndexModel{args!r}",
+                      lambda a=args: api.IndexModel("far", *a, bbo.range_um)))
+        iso = (args[0], args[0])
+        calls.append((f"IndexModel{iso!r}",
+                      lambda a=iso: api.IndexModel("iso", *a, bbo.range_um)))
+    return calls
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
     calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
              + dispersion_calls(api, rng) + number_kind_calls(api)
              + int_calls(api) + sellmeier_domain_calls(api)
-             + xi_range_calls(api) + sellmeier_overflow_calls(api))
+             + xi_range_calls(api) + sellmeier_overflow_calls(api)
+             + number_rule_calls(api))
     record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
