@@ -188,19 +188,15 @@ def _refine(eta_at, grid: list[float], grid_etas: list[float]) -> tuple:
     best = max(range(_N_PRESCAN), key=grid_etas.__getitem__)
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _N_PRESCAN - 1)]
-    if a + b == math.inf:
-        # the search's a + b would overflow: the same search at half
-        # scale, where each point has its bits halved exactly
-        argmax, eta_max, (a, b), iterations = _refine(
-            lambda v: eta_at(2.0 * v), [0.5 * v for v in grid], grid_etas)
-        return 2.0 * argmax, eta_max, (2.0 * a, 2.0 * b), iterations
     bracket = (a, b)
 
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = eta_at(x1), eta_at(x2)
     iterations = 0
-    while (b - a) > _REL_TOL * 0.5 * (a + b) and iterations < 200:
+    # the midpoint as 0.5*a + 0.5*b: the bits of 0.5*(a + b) in the
+    # normal range, and no overflow where a + b would pass it
+    while (b - a) > _REL_TOL * (0.5 * a + 0.5 * b) and iterations < 200:
         iterations += 1
         if f1 < f2:
             a = x1
@@ -212,7 +208,7 @@ def _refine(eta_at, grid: list[float], grid_etas: list[float]) -> tuple:
             x2, f2 = x1, f1
             x1 = b - _INV_PHI * (b - a)
             f1 = eta_at(x1)
-    mid = 0.5 * (a + b)
+    mid = 0.5 * a + 0.5 * b
     candidates = [(eta_at(mid), mid), (f1, x1), (f2, x2),
                   (grid_etas[best], grid[best])]
     eta_max, argmax = max(candidates)
