@@ -38,13 +38,15 @@ and the length step once per point, on inputs validated once, so both
 give the same bits.
 
 The length step runs once per point of every sweep, optimization and
-ceiling scan, and there a Python call costs more than its arithmetic.
-So on its common path, three finite sigmas none of them below
+ceiling scan, and there a Python call or a test costs more than its
+arithmetic.  So on its common path, no sigma below
 ``EROS_SERIES_CUTOFF``, it makes no call besides ``math.erf`` and
-``math.sqrt``: it computes each erf(sigma)/sigma and its finiteness test
-inline.  It hands over only when a sigma is small, to the Taylor series,
-or not finite, to the check that raises, so each of those is still
-written once.
+``math.sqrt`` and runs one test, the range test of eta.  It computes
+each erf(sigma)/sigma inline, and hands a small sigma to the Taylor
+series, written once.  An infinite sigma has erf(sigma)/sigma = 0 and a
+NaN one NaN, so eta then falls outside (0, 1] or its division by the
+arms fails; only there are the sigmas and the arms tested, so that each
+failure keeps its message.
 
 All lengths are micrometres.  All functions are pure; the dataclasses
 are frozen and safe to share across threads.
@@ -335,7 +337,8 @@ def magnification(f: float, d_bl: float) -> tuple[float, float]:
 
     f: focal length; d_bl: object distance (crystal face to lens).  Both
     in the same unit; returns (mu, d_al) with d_al in that unit.
-    Requires d_bl > f so a real image forms.
+    Requires d_bl > f so a real image forms, and refuses a lens whose mu
+    or d_al is not a finite float > 0.
     """
     f = _require_in("focal length", f, "> 0")
     d_bl = _require_finite("d_bl", d_bl)
@@ -345,11 +348,14 @@ def magnification(f: float, d_bl: float) -> tuple[float, float]:
     mu = d_bl / f - 1.0
     diff = 1.0 / f - 1.0 / d_bl
     d_al = 1.0 / diff if diff else _INF
-    # diff is 0 where the reciprocals round alike, NaN where both overflow
-    # and too small to invert where d_al is past the float range
-    if not d_al < _INF:
-        raise DomainError(f"image distance 1/(1/f - 1/d_bl) is not a finite "
-                          f"float for f={f}, d_bl={d_bl}")
+    # diff is 0 where the reciprocals round alike, NaN where both overflow,
+    # inf where 1/f alone does (d_al is then 0) and too small to invert
+    # where d_al is past the float range; mu overflows where d_bl/f does
+    if not (mu < _INF and 0.0 < d_al < _INF):
+        what = ("image distance 1/(1/f - 1/d_bl)" if mu < _INF
+                else "mu = d_bl/f - 1")
+        raise DomainError(
+            f"{what} is not a finite float for f={f}, d_bl={d_bl}")
     return mu, d_al
 
 
@@ -396,25 +402,29 @@ def _check_sigmas(sigma_c: float, sigma1: float, sigma2: float) -> None:
 
 def _eta(terms: tuple[float, ...], ratio: float) -> float:
     # the length step: eta from the xi step's terms and L/r_p, inline on
-    # the common path (module docstring); the test below is
-    # _check_sigmas's own, and a series sigma goes to _erf_over_sigma
+    # the common path (module docstring); a series sigma goes to
+    # _erf_over_sigma
     _, prefactor, kc, k1, k2 = terms
     sigma_c, sigma1, sigma2 = ratio * kc, ratio * k1, ratio * k2
-    if not (sigma_c < _INF and sigma1 < _INF and sigma2 < _INF):
-        _check_sigmas(sigma_c, sigma1, sigma2)
     cut = EROS_SERIES_CUTOFF
     arms = _sqrt(
         (_erf(sigma1) / sigma1 if sigma1 >= cut else _erf_over_sigma(sigma1))
         * (_erf(sigma2) / sigma2 if sigma2 >= cut
            else _erf_over_sigma(sigma2)))
-    if arms == 0.0:
-        raise DomainError(
-            f"sigma1={sigma1}, sigma2={sigma2} too extreme to evaluate")
-    eta = prefactor * (_erf(sigma_c) / sigma_c if sigma_c >= cut
-                       else _erf_over_sigma(sigma_c)) / arms
+    try:
+        eta = prefactor * (_erf(sigma_c) / sigma_c if sigma_c >= cut
+                           else _erf_over_sigma(sigma_c)) / arms
+    except ZeroDivisionError:  # arms is 0
+        eta = 0.0
     if not 0.0 < eta <= 1.0:
         if 1.0 < eta <= _ETA_ROUNDED_ONE:
             return 1.0
+        # an infinite sigma has erf(sigma)/sigma = 0 and a NaN one NaN, so
+        # each lands here: the sigmas speak first, then the arms
+        _check_sigmas(sigma_c, sigma1, sigma2)
+        if arms == 0.0:
+            raise DomainError(
+                f"sigma1={sigma1}, sigma2={sigma2} too extreme to evaluate")
         raise DomainError(f"eta must be in (0, 1], got {eta}")
     return eta
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
                    WalkOffSet, _check_fields, _eta, _require_finite,
-                   _require_pair, _xi_terms, compute_alpha_beta)
+                   _require_in, _require_pair, _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -65,6 +65,10 @@ class SweepRow:
     xi: float
     eta: float
 
+    def __post_init__(self):
+        _check_fields(self, ("length", "mu", "xi"), "> 0")
+        _check_fields(self, ("eta",), "in (0, 1]")
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -90,6 +94,12 @@ class SweepResult:
 class OptResult:
     """Outcome of a scalar maximization.
 
+    variable: the design variable's name.
+    argmax: the best value found for it, > 0.
+    eta_max: eta there, in (0, 1].
+    bracket: (lo, hi), the pre-scan cell that the golden section refined,
+        each > 0.
+    iterations: the golden-section steps taken.
     boundary is set when the maximum sits on a bracket end, in which
     case no interior optimum has been established.
     """
@@ -102,7 +112,11 @@ class OptResult:
     boundary: bool
 
     def __post_init__(self):
+        _check_fields(self, ("argmax",), "> 0")
         _check_fields(self, ("eta_max",), "in (0, 1]")
+        object.__setattr__(self, "bracket", tuple(
+            _require_in("bracket", v, "> 0")
+            for v in _require_pair("bracket", self.bracket)))
 
 
 def _row_error(length: float, mu: float, exc: DomainError) -> DomainError:
@@ -125,11 +139,12 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
             break
         columns.append((mu, terms[0], terms))
     rows = []
-    # a row gets its __dict__, in field order, in one step instead of
-    # through the frozen __init__, which pays one object.__setattr__ per
-    # field; SweepRow has no __post_init__, so no check is skipped, and
-    # the type is unchanged
-    new, set_dict = object.__new__, object.__setattr__
+    # a row and the result get their fields in one step each, not through
+    # the frozen __init__, which pays one object.__setattr__ per field and
+    # would check again what is checked: length and mu by SweepSpec, xi
+    # by the xi step, eta by the length step, and the rows by being built
+    # here, at least one since neither grid is empty
+    new = object.__new__
     for length in spec.l_grid:
         ratio = length / rp
         for mu, xi, terms in columns:
@@ -138,13 +153,14 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
             except DomainError as exc:
                 raise _row_error(length, mu, exc) from exc
             row = new(SweepRow)
-            set_dict(row, "__dict__",
-                     {"length": length, "mu": mu, "xi": xi, "eta": eta})
+            row.__dict__.update(length=length, mu=mu, xi=xi, eta=eta)
             rows.append(row)
         if failed:
             mu, exc = failed
             raise _row_error(length, mu, exc) from exc
-    return SweepResult(rows=tuple(rows))
+    result = new(SweepResult)
+    result.__dict__["rows"] = tuple(rows)
+    return result
 
 
 def _with_variable(cfg: ExperimentConfig, variable: str,
@@ -185,7 +201,8 @@ def _refine(eta_at, grid: list[float], grid_etas: list[float]) -> tuple:
     # golden section around the best pre-scan point of grid; returns
     # (argmax, eta_max, bracket, iterations), with eta_max already
     # checked to lie in (0, 1] by the closed form
-    best = max(range(_N_PRESCAN), key=grid_etas.__getitem__)
+    # the first of tied maxima; the closed form returns no NaN
+    best = grid_etas.index(max(grid_etas))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _N_PRESCAN - 1)]
     bracket = (a, b)
@@ -227,15 +244,17 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     lo, hi = _require_pair("bounds", bounds)
     if not 0.0 < lo < hi:
         raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    # both ends must make a valid configuration; the points in between
-    # then only need the shape checks of the closed form
-    _with_variable(cfg, variable, lo)
-    _with_variable(cfg, variable, hi)
+    if not isinstance(cfg, ExperimentConfig):
+        raise DomainError("cfg must be an ExperimentConfig")
     ab = compute_alpha_beta(cfg.walkoffs)
     length, rp = cfg.crystal_length, cfg.pump_waist
     w, mu = cfg.fiber_mode_radius, cfg.inverse_magnification
 
-    # each eta_at repeats the arithmetic of efficiency(_with_variable(...))
+    # both ends must make a valid configuration, as _with_variable builds
+    # it, and the points in between then need only the closed form's own
+    # checks: a mu or r_p end is a valid field as a bound is, and an xi
+    # end where its mu is.  Each eta_at repeats the arithmetic of
+    # efficiency(_with_variable(...))
     if variable == "mu":
         ratio = length / rp
 
@@ -244,8 +263,13 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     elif variable == "rp":
         def eta_at(value: float) -> float:
             return _eta(_xi_terms(w, mu, value, ab), length / value)
-    else:
+    elif variable == "xi":
+        for value in (lo, hi):
+            _require_in("inverse_magnification", value * rp / w, "> 0")
         eta_at = _eta_of_xi(length, rp, w, ab)
+    else:
+        raise DomainError(
+            f"variable must be one of {VARIABLES}, got {variable!r}")
 
     grid = _prescan_grid(lo, hi)
     argmax, eta_max, bracket, iterations = _refine(
@@ -272,9 +296,9 @@ def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
     # pump_waist, walkoffs and the xi bounds are checked as maximize_eta
     # checks them, once: no check depends on the length
     template = ExperimentConfig(grid[0], pump_waist, 1.0, 1.0, walkoffs)
-    _with_variable(template, "xi", lo)
-    _with_variable(template, "xi", hi)
     pump_waist = template.pump_waist  # as the check read it
+    for value in (lo, hi):  # the mu of _with_variable at w = 1
+        _require_in("inverse_magnification", value * pump_waist, "> 0")
     ab = compute_alpha_beta(walkoffs)
     xi_grid = _prescan_grid(lo, hi)
     # xi through its mu, as _eta_of_xi passes it at w = 1, where

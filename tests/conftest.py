@@ -1,6 +1,6 @@
 from hypothesis import settings
 
-from spdcfc import ExperimentConfig, WalkOffSet
+from spdcfc import ExperimentConfig, SweepRow, WalkOffSet
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -18,3 +18,11 @@ def reference_config(length_um: float = 3000.0) -> ExperimentConfig:
         inverse_magnification=49.0,
         walkoffs=REFERENCE_WALKOFFS,
     )
+
+
+def bare_row(length, mu, xi, eta) -> SweepRow:
+    # a row whose fields skip SweepRow's own checks, as a row built without
+    # __init__ (by efficiency_curve, or by unpickling) skips them
+    row = object.__new__(SweepRow)
+    row.__dict__.update(length=length, mu=mu, xi=xi, eta=eta)
+    return row

@@ -22,8 +22,9 @@ list, or as ``ordinary[k]`` in an index model.  The exceptions are the
 limits: ``erf`` takes +-inf, and erf(sigma)/sigma and its reciprocal take
 +inf.
 
-The fields of result records (``SweepRow``, and ``OptResult``'s fields
-but ``eta_max``) are stored as given, so they are drawn finite.
+The rows handed to ``SweepResult`` are built without ``SweepRow``'s own
+checks, as ``efficiency_curve`` builds them, so that its check of each
+eta is reached.
 """
 
 import dataclasses
@@ -48,6 +49,8 @@ from spdcfc import (AlphaBeta, EfficiencyResult,
                     sigma_over_erf, walk_off_tangent)
 from spdcfc.core import VARIABLES
 from spdcfc.errors import DomainError
+
+from conftest import bare_row
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   suppress_health_check=list(HealthCheck))
@@ -114,7 +117,7 @@ GEOMETRIES = st.builds(PhaseMatchGeometry,
                        st.one_of(floats(0.205, 0.53), POSITIVE),
                        floats(0.0, HALF_PI, exclude_min=True, exclude_max=True),
                        floats(0.0, HALF_PI, exclude_max=True))
-ROWS = st.lists(st.builds(SweepRow, FINITE, FINITE, FINITE, anything(UNIT)),
+ROWS = st.lists(st.builds(bare_row, FINITE, FINITE, FINITE, anything(UNIT)),
                 max_size=3).map(tuple)
 COUNTS = st.one_of(st.integers(-1, 300), st.sampled_from([2 ** 64, True]),
                    SPECIAL_FLOATS, NOT_NUMBERS)
@@ -246,12 +249,13 @@ CALLS = {
                                      exclude_max=True))]),
     "SweepSpec": (SweepSpec, [Items("l_grid", POSITIVE),
                               Items("mu_values", POSITIVE), Given(CONFIGS)]),
-    "SweepRow": (SweepRow, [Given(FINITE)] * 4),
+    "SweepRow": (SweepRow, [Num(n, POSITIVE) for n in ("length", "mu", "xi")]
+                 + [Num("eta", UNIT)]),
     "SweepResult": (SweepResult, [Given(ROWS)]),
     "OptResult": (OptResult, [
-        Given(st.sampled_from(VARIABLES)), Given(FINITE), Num("eta_max", UNIT),
-        Given(st.tuples(FINITE, FINITE)), Given(st.integers(0, 200)),
-        Given(st.booleans())]),
+        Given(st.sampled_from(VARIABLES)), Num("argmax", POSITIVE),
+        Num("eta_max", UNIT), Items("bracket", POSITIVE, 2),
+        Given(st.integers(0, 200)), Given(st.booleans())]),
     "efficiency_curve": (efficiency_curve, [Given(SPECS)]),
     "maximize_eta": (maximize_eta, [
         Given(CONFIGS), Given(st.sampled_from(VARIABLES + ("L",))),

@@ -15,6 +15,7 @@ from spdcfc import oracle
 from spdcfc.errors import DomainError
 from spdcfc.sweep import OptResult, SweepResult, SweepRow
 
+from conftest import bare_row
 from test_cli import REFERENCE_FLAGS, run_cli
 
 
@@ -115,14 +116,14 @@ def test_sweep_result_rejects_no_rows():
 
 @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0 + 1e-12, math.nan])
 def test_sweep_result_rejects_an_eta_outside_the_unit_interval(eta):
-    rows = (SweepRow(3000.0, 49.0, 1.37, 0.4), SweepRow(3000.0, 60.0, 1.6, eta))
+    rows = (SweepRow(3000.0, 49.0, 1.37, 0.4), bare_row(3000.0, 60.0, 1.6, eta))
     with pytest.raises(DomainError, match=r"sweep row with eta outside \(0, 1\]"):
         SweepResult(rows=rows)
 
 
 @pytest.mark.parametrize("rows", [
-    (SweepRow(3000.0, 49.0, 1.37, None),),
-    (SweepRow(3000.0, 49.0, 1.37, 0.4), SweepRow(3000.0, 60.0, 1.6, "0.5")),
+    (bare_row(3000.0, 49.0, 1.37, None),),
+    (SweepRow(3000.0, 49.0, 1.37, 0.4), bare_row(3000.0, 60.0, 1.6, "0.5")),
     5,
     (5,),
 ], ids=["eta-None", "eta-text", "rows-not-iterable", "row-not-a-row"])

@@ -13,9 +13,10 @@ decades mixed with 0, -1, 5e-324, 1e300, +-inf, nan, the erf-series
 cutoff, values that are not numbers, ``Decimal`` numbers and int fields
 from 1 to ``10**308``, the index-model check on scaled copies of the
 bundled Sellmeier coefficients, configurations whose product w*mu
-leaves the normal float range beside copies scaled back into it, and
-index models whose arithmetic reaches past the float range.  The list
-depends only on the seed, so
+leaves the normal float range beside copies scaled back into it, index
+models whose arithmetic reaches past the float range, and design studies
+on bundled-BBO walk-offs over the design ranges of the benchmark's
+``design_scan``.  The list depends only on the seed, so
 a dump of one checkout under two environments, or of two checkouts, can
 be compared entry by entry.
 
@@ -504,6 +505,40 @@ def number_rule_calls(api) -> list[tuple[str, object]]:
     return calls
 
 
+def design_study_calls(api) -> list[tuple[str, object]]:
+    # design studies as bench/workloads.py's design_scan runs them: walk-
+    # offs from the bundled BBO data at a pump of 405-420 nm, a cut of
+    # 41.5-44 deg and 3.5 deg cones, then at r_p 30-120 um and L 0.5-5 mm
+    # an efficiency curve of 50 lengths, the optimum over each variable
+    # and a ceiling scan of 10 lengths; their own stream, so the calls
+    # above keep theirs
+    rng = random.Random(f"{SEED}:design-study")
+    bbo = api.bundled_bbo()
+    calls = []
+    for _ in range(20):
+        pump, cut = rng.uniform(0.405, 0.420), rng.uniform(41.5, 44.0)
+        rp, length = rng.uniform(30.0, 120.0), rng.uniform(500.0, 5000.0)
+        geometry = api.PhaseMatchGeometry.degenerate(
+            pump, math.radians(cut), math.radians(3.5))
+        walkoffs = api.build_walkoff_set(bbo, geometry)
+        cfg = api.ExperimentConfig(length, rp, 1.48, 49.0, walkoffs)
+        args = (pump, cut, rp, length)
+        curve = tuple(length * k / 25 for k in range(1, 51))
+        ceiling = [length * k / 5 for k in range(1, 11)]
+        calls.append((f"design efficiency_curve{args!r}",
+                      lambda c=cfg, ls=curve: api.efficiency_curve(
+                          api.SweepSpec(ls, api.DEFAULT_MU_VALUES, c))))
+        for var, bounds in (("mu", (1.0, 200.0)), ("rp", (3.0, 1000.0)),
+                            ("xi", (0.1, 10.0))):
+            calls.append((f"design maximize_eta{args!r}, {var!r}",
+                          lambda c=cfg, v=var, b=bounds:
+                          api.maximize_eta(c, v, b)))
+        calls.append((f"design ceiling_scan{args!r}",
+                      lambda w=walkoffs, r=rp, ls=ceiling:
+                      api.ceiling_scan(r, w, ls)))
+    return calls
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
@@ -511,7 +546,7 @@ def dump(checkout: Path, out: Path) -> None:
              + dispersion_calls(api, rng) + number_kind_calls(api)
              + int_calls(api) + sellmeier_domain_calls(api)
              + xi_range_calls(api) + sellmeier_overflow_calls(api)
-             + number_rule_calls(api))
+             + number_rule_calls(api) + design_study_calls(api))
     record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
