@@ -6,11 +6,18 @@ command line or a config file is unusable.  Crystal length and lens
 distances are taken in mm on the command line; everything else follows
 the package's micrometre convention.  Numbers print with 9 significant
 digits and a "." decimal separator regardless of locale.
+
+Every subcommand prints its results as "name = value" lines (sweep: CSV
+rows), or with --format json as one JSON document that starts with
+schema_version; _emit writes both.  A config file follows _SCHEMA, and
+each value comes from its flag, else the file, else a default: the
+quadrature's are QuadratureSpec's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -35,16 +42,15 @@ SELLMEIER_PATH_ENV = "SPDCFC_SELLMEIER_PATH"
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {"schema_version", "L_um", "rp_um", "w_um", "mu",
-                "walkoffs", "quadrature"}
-# the walk-off keys, in the order of WalkOffSet's fields
-_WALKOFF_NAMES = ("Mp", "M", "QK")
-_WALKOFF_KEYS = set(_WALKOFF_NAMES)
-_QUAD_KEYS = {"n_tau", "n_trans", "extent_factor", "target_rel_err"}
-_RESULT_KEYS = {"eta", "shape"}
-# config entries that must hold numbers, and those that must be whole
-_NUMBER_KEYS = {"L_um", "rp_um", "w_um", "mu"} | _WALKOFF_KEYS | _QUAD_KEYS
-_WHOLE_KEYS = {"n_tau", "n_trans"}
+# each config key and what it holds: a number, a whole number (a grid
+# size), or an object with keys of its own; schema_version is checked
+# apart.  The walk-offs are in the order of WalkOffSet's fields
+_SCHEMA = {"schema_version": None, "L_um": "number", "rp_um": "number",
+           "w_um": "number", "mu": "number",
+           "walkoffs": {"Mp": "number", "M": "number", "QK": "number"},
+           "quadrature": {"n_tau": "whole", "n_trans": "whole",
+                          "extent_factor": "number",
+                          "target_rel_err": "number"}}
 
 CSV_HEADER = "L_mm,mu,xi,eta"
 
@@ -65,19 +71,18 @@ def _fmt(x: float) -> str:
 # config assembly
 # ---------------------------------------------------------------------------
 
-def _check_number(prefix: str, key: str, value) -> None:
+def _check_number(name: str, kind: str, value) -> None:
     # a JSON number (not a bool) within the float range, and whole for a
     # grid size; the message quotes at most 40 characters of the value
-    whole = key in _WHOLE_KEYS
+    whole = kind == "whole"
     try:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and (float(value).is_integer() or not whole))
     except OverflowError:  # a JSON integer beyond the float range
         ok = False
     if not ok:
-        kind = "a whole number" if whole else "a number"
-        raise UsageError(f"config {prefix}{key} must be {kind}, "
-                         f"got {value!r:.40}")
+        shown = "a whole number" if whole else "a number"
+        raise UsageError(f"config {name} must be {shown}, got {value!r:.40}")
 
 
 def _load_config_doc(path: str) -> dict:
@@ -92,7 +97,7 @@ def _load_config_doc(path: str) -> dict:
         raise UsageError("config file must hold a JSON object")
     if "config" in doc:
         # a previous `eval --format json` output fed back in
-        unknown = set(doc) - ({"schema_version", "config"} | _RESULT_KEYS)
+        unknown = set(doc) - {"schema_version", "config", "eta", "shape"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         inner = doc["config"]
@@ -101,7 +106,7 @@ def _load_config_doc(path: str) -> dict:
         # the outer version speaks for the inner config unless it has one
         doc = {"schema_version": doc.get("schema_version", SCHEMA_VERSION),
                **inner}
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_SCHEMA)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     version = doc.get("schema_version")
@@ -110,20 +115,23 @@ def _load_config_doc(path: str) -> dict:
         raise UsageError(
             f"config schema_version must be {SCHEMA_VERSION}, "
             f"got {version!r}")
-    for sub, keys in (("walkoffs", _WALKOFF_KEYS), ("quadrature", _QUAD_KEYS)):
+    subs = {key: kinds for key, kinds in _SCHEMA.items()
+            if isinstance(kinds, dict)}
+    for sub, kinds in subs.items():
         if sub in doc:
             if not isinstance(doc[sub], dict):
                 raise UsageError(f"{sub} must be a JSON object")
-            bad = set(doc[sub]) - keys
+            bad = set(doc[sub]) - set(kinds)
             if bad:
                 raise UsageError(f"unknown {sub} keys: {sorted(bad)}")
-    for prefix, entries in (("", doc), ("walkoffs.", doc.get("walkoffs", {})),
-                            ("quadrature.", doc.get("quadrature", {}))):
+    levels = [("", doc, _SCHEMA)] + [(f"{sub}.", doc.get(sub, {}), kinds)
+                                     for sub, kinds in subs.items()]
+    for prefix, entries, kinds in levels:
         for key, value in entries.items():
             # null reads as absent, except for a walk-off
-            if key in _NUMBER_KEYS and (value is not None
-                                        or prefix == "walkoffs."):
-                _check_number(prefix, key, value)
+            if isinstance(kinds[key], str) and (value is not None
+                                                or prefix == "walkoffs."):
+                _check_number(prefix + key, kinds[key], value)
     return doc
 
 
@@ -170,25 +178,26 @@ def _resolve_walkoffs(args, doc: dict) -> tuple[WalkOffSet, dict,
         values = vars(build_walkoff_set(*derived)).values()
     elif "walkoffs" in doc:
         w = doc["walkoffs"]
-        missing = _WALKOFF_KEYS - set(w)
+        missing = set(_SCHEMA["walkoffs"]) - set(w)
         if missing:
             raise UsageError(f"config walkoffs missing {sorted(missing)}")
-        values = [w[key] for key in _WALKOFF_NAMES]
+        values = [w[key] for key in _SCHEMA["walkoffs"]]
     else:
         # params takes no config file
         or_config = ", or a config file" if "config" in args else ""
         raise UsageError(
             f"no walk-offs: pass --Mp/--M/--QK, or --sellmeier{or_config}")
-    given = dict(zip(_WALKOFF_NAMES, values))
+    given = dict(zip(_SCHEMA["walkoffs"], values))
     return WalkOffSet(*given.values()), given, derived
 
 
-def _pick(flag_value, doc: dict, key: str, defaults: dict, missing: str = ""):
+def _pick(flag_value, doc: dict, key: str, placeholders: dict, missing: str):
     """A flag's value, else the config file's value under key, else
-    defaults[key]; a UsageError naming what is missing when none is set."""
+    placeholders[key]; a UsageError naming what is missing when none is
+    set."""
     value = flag_value if flag_value is not None else doc.get(key)
     if value is None:
-        value = defaults.get(key)
+        value = placeholders.get(key)
         if value is None:
             raise UsageError(f"missing {missing}")
     return value
@@ -232,15 +241,16 @@ def _resolve_experiment(args, doc: dict, *, optional: tuple[str, ...] = ()
 def _resolve_quadrature(args, doc: dict) -> QuadratureSpec:
     from .oracle import QuadratureSpec
 
+    # a flag over the file's value; QuadratureSpec's default where neither
+    # gives one.  A file's whole float grid size is passed as an int
     qdoc = doc.get("quadrature", {})
-    defaults = vars(QuadratureSpec())
-    return QuadratureSpec(
-        n_tau=int(_pick(args.n_tau, qdoc, "n_tau", defaults)),
-        n_trans=int(_pick(args.n_trans, qdoc, "n_trans", defaults)),
-        extent_factor=_pick(args.extent_factor, qdoc, "extent_factor",
-                            defaults),
-        target_rel_err=_pick(args.target_rel_err, qdoc, "target_rel_err",
-                             defaults))
+    given = {}
+    for key, kind in _SCHEMA["quadrature"].items():
+        value = getattr(args, key)
+        value = qdoc.get(key) if value is None else value
+        if value is not None:
+            given[key] = int(value) if kind == "whole" else value
+    return QuadratureSpec(**given)
 
 
 def _parse_numbers(text: str, flag: str, form: str) -> list[float]:
@@ -283,15 +293,22 @@ def _render(value) -> str:
     return value if isinstance(value, str) else _fmt(value)
 
 
-def _print_fields(fields: dict) -> None:
+def _lines(fields: dict) -> list[str]:
     """One "name = value" line per field, names padded to the longest."""
     width = max(map(len, fields))
-    for name, value in fields.items():
-        print(f"{name:<{width}} = {_render(value)}")
+    return [f"{name:<{width}} = {_render(value)}"
+            for name, value in fields.items()]
 
 
-def _print_json(fields: dict) -> None:
-    print(json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2))
+def _emit(args, fields: dict, text=None) -> None:
+    """fields as one JSON document under --format json; else the lines of
+    text, an iterable of strings, which by default are fields' own."""
+    if args.format == "json":
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **fields},
+                         indent=2))
+        return
+    for line in _lines(fields) if text is None else text:
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +323,8 @@ def _cmd_eval(args, doc: dict) -> int:
     shape_fields = {"xi": shape.xi, "sigma_c": shape.sigma_c,
                     "sigma1": shape.sigma1, "sigma2": shape.sigma2,
                     "alpha1": ab.alpha1, "alpha2": ab.alpha2, "beta": ab.beta}
-    if args.format == "json":
-        _print_json({"config": given, "eta": res.eta,
-                     "shape": shape_fields})
-    else:
-        _print_fields({"eta": res.eta, **shape_fields})
+    _emit(args, {"config": given, "eta": res.eta, "shape": shape_fields},
+          _lines({"eta": res.eta, **shape_fields}))
     return 0
 
 
@@ -329,15 +343,11 @@ def _cmd_sweep(args, doc: dict) -> int:
     template = _resolve_experiment(args, doc, optional=("L_um", "mu"))[0]
     spec = SweepSpec(l_grid=tuple(1000.0 * l for l in l_grid_mm),
                      mu_values=mu_values, fixed=template)
-    rows = [(r.length / 1000.0, r.mu, r.xi, r.eta)
+    columns = CSV_HEADER.split(",")
+    rows = [dict(zip(columns, (r.length / 1000.0, r.mu, r.xi, r.eta)))
             for r in efficiency_curve(spec).rows]
-    if args.format == "json":
-        columns = CSV_HEADER.split(",")
-        _print_json({"rows": [dict(zip(columns, row)) for row in rows]})
-    else:
-        print(CSV_HEADER)
-        for row in rows:
-            print(",".join(map(_fmt, row)))
+    _emit(args, {"rows": rows}, itertools.chain(
+        [CSV_HEADER], (",".join(map(_fmt, row.values())) for row in rows)))
     return 0
 
 
@@ -351,13 +361,9 @@ def _cmd_optimize(args, doc: dict) -> int:
     optional = {"mu": ("mu",), "xi": ("mu", "w_um"), "rp": ("rp_um",)}[args.var]
     cfg = _resolve_experiment(args, doc, optional=optional)[0]
     res = maximize_eta(cfg, args.var, (lo, hi))
-    fields = {"variable": res.variable, "argmax": res.argmax,
-              "eta_max": res.eta_max, "bracket": list(res.bracket),
-              "iterations": res.iterations, "boundary": res.boundary}
-    if args.format == "json":
-        _print_json(fields)
-    else:
-        _print_fields(fields)
+    _emit(args, {"variable": res.variable, "argmax": res.argmax,
+                 "eta_max": res.eta_max, "bracket": list(res.bracket),
+                 "iterations": res.iterations, "boundary": res.boundary})
     if res.boundary:
         print("note: maximum sits on a bracket boundary; no interior "
               "optimum established", file=sys.stderr)
@@ -389,14 +395,13 @@ def _cmd_oracle(args, doc: dict) -> int:
               "so the oracle cannot check it", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
-        if args.format == "json":
-            _print_json({"config": given, "eta_closed": eta_closed,
-                         "eta_numeric": exc.eta_fine,
-                         "est_rel_err": exc.est_rel_err, "pass": False})
-        else:
-            print(f"eta_closed    = {_fmt(eta_closed)}")
-            print(f"eta_numeric   = {_fmt(exc.eta_fine)}   (unconverged)")
-            print(f"est_rel_err   = {_fmt(exc.est_rel_err)}")
+        # the text pads its names to the width of the converged output
+        _emit(args, {"config": given, "eta_closed": eta_closed,
+                     "eta_numeric": exc.eta_fine,
+                     "est_rel_err": exc.est_rel_err, "pass": False},
+              [f"eta_closed    = {_fmt(eta_closed)}",
+               f"eta_numeric   = {_fmt(exc.eta_fine)}   (unconverged)",
+               f"est_rel_err   = {_fmt(exc.est_rel_err)}"])
         print(f"error: {exc}", file=sys.stderr)
         return 1
     deviation = abs(oracle.eta_numeric - eta_closed) / eta_closed
@@ -404,11 +409,8 @@ def _cmd_oracle(args, doc: dict) -> int:
     ok = deviation <= threshold
     fields = {"eta_closed": eta_closed, "eta_numeric": oracle.eta_numeric,
               "rel_deviation": deviation, "est_rel_err": oracle.est_rel_err}
-    if args.format == "json":
-        _print_json({"config": given, **fields,
-                     "pieces": list(oracle.pieces), "pass": ok})
-    else:
-        _print_fields(fields)
+    _emit(args, {"config": given, **fields, "pieces": list(oracle.pieces),
+                 "pass": ok}, _lines(fields))
     if not ok:
         print(f"error: closed form and quadrature disagree: deviation "
               f"{deviation:.3g} > {threshold:.3g}", file=sys.stderr)
@@ -427,13 +429,10 @@ def _cmd_params(args, doc: dict) -> int:
         temporal = group_delay_params(*derived)
         temporal_fields = {"D_fs_per_um": temporal.d,
                            "Lambda_fs_per_um": temporal.lam}
-    if args.format == "json":
-        _print_json({"walkoffs": walkoff_fields, **ab_fields,
-                     "temporal": temporal_fields})
-    else:
-        _print_fields({**walkoff_fields, **ab_fields})
-        if temporal_fields is not None:
-            _print_fields(temporal_fields)
+    _emit(args, {"walkoffs": walkoff_fields, **ab_fields,
+                 "temporal": temporal_fields},
+          _lines({**walkoff_fields, **ab_fields})
+          + (_lines(temporal_fields) if temporal_fields else []))
     return 0
 
 
@@ -461,11 +460,11 @@ def _add_common(parser: argparse.ArgumentParser, *,
                         help="coupling-lens focal length in mm")
     parser.add_argument("--dbl-mm", dest="dbl_mm", type=float,
                         help="crystal-to-lens distance in mm")
-    _add_walkoff_flags(parser)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    _add_shared_flags(parser)
 
 
-def _add_walkoff_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    # the walk-off sources and --format, which every subcommand takes
     parser.add_argument("--Mp", type=float, help="pump walk-off magnitude")
     parser.add_argument("--M", type=float, help="generated-field walk-off magnitude")
     parser.add_argument("--QK", type=float,
@@ -483,6 +482,7 @@ def _add_walkoff_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cone-angle-deg", dest="cone_angle_deg", type=float,
                         default=3.5,
                         help="external emission-cone angle in deg (default 3.5)")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _add_quadrature_flags(parser: argparse.ArgumentParser) -> None:
@@ -533,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_params = sub.add_parser(
         "params", help="derive walk-off and group-delay parameters")
-    _add_walkoff_flags(p_params)
-    p_params.add_argument("--format", choices=("text", "json"), default="text")
+    _add_shared_flags(p_params)
     p_params.set_defaults(handler=_cmd_params)
 
     return parser

@@ -131,7 +131,12 @@ def _erf_over_sigma(sigma: float) -> float:
 def sigma_over_erf(sigma: float) -> float:
     """sigma/erf(sigma), the reciprocal of :func:`erf_over_sigma`; inf at
     sigma = inf, its limit."""
-    return _INF if sigma == _INF else 1.0 / erf_over_sigma(sigma)
+    if sigma == _INF:
+        return _INF
+    value = 1.0 / erf_over_sigma(sigma)
+    # that overflows only at the largest floats, where erf is exactly 1
+    # and the value is sigma itself
+    return float(sigma) if value == _INF else value
 
 
 # ---------------------------------------------------------------------------

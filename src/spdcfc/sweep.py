@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
@@ -94,14 +94,14 @@ class SweepResult:
 class OptResult:
     """Outcome of a scalar maximization.
 
-    variable: the design variable's name.
+    variable: the design variable's name, one of VARIABLES.
     argmax: the best value found for it, > 0.
     eta_max: eta there, in (0, 1].
     bracket: (lo, hi), the pre-scan cell that the golden section refined,
-        each > 0.
-    iterations: the golden-section steps taken.
-    boundary is set when the maximum sits on a bracket end, in which
-    case no interior optimum has been established.
+        each > 0, with lo <= hi (the two ends may be equal).
+    iterations: the golden-section steps taken, an int >= 0.
+    boundary, a bool, is set when the maximum sits on a bracket end, in
+    which case no interior optimum has been established.
     """
 
     variable: str
@@ -114,9 +114,21 @@ class OptResult:
     def __post_init__(self):
         _check_fields(self, ("argmax",), "> 0")
         _check_fields(self, ("eta_max",), "in (0, 1]")
-        object.__setattr__(self, "bracket", tuple(
-            _require_in("bracket", v, "> 0")
-            for v in _require_pair("bracket", self.bracket)))
+        lo, hi = (_require_in("bracket", v, "> 0")
+                  for v in _require_pair("bracket", self.bracket))
+        if lo > hi:
+            raise DomainError(
+                f"bracket must satisfy lo <= hi, got ({lo}, {hi})")
+        object.__setattr__(self, "bracket", (lo, hi))
+        if self.variable not in VARIABLES:
+            raise DomainError(f"variable must be one of {VARIABLES}, "
+                              f"got {self.variable!r}")
+        n = self.iterations
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise DomainError(f"iterations must be an integer >= 0, got {n!r}")
+        if not isinstance(self.boundary, bool):
+            raise DomainError(
+                f"boundary must be a bool, got {self.boundary!r}")
 
 
 def _row_error(length: float, mu: float, exc: DomainError) -> DomainError:
@@ -163,19 +175,6 @@ def efficiency_curve(spec: SweepSpec) -> SweepResult:
     return result
 
 
-def _with_variable(cfg: ExperimentConfig, variable: str,
-                   value: float) -> ExperimentConfig:
-    if variable == "mu":
-        return replace(cfg, inverse_magnification=value)
-    if variable == "rp":
-        return replace(cfg, pump_waist=value)
-    if variable == "xi":
-        # eta sees mu only through xi = w*mu/r_p, so sweep xi via mu
-        return replace(cfg, inverse_magnification=value * cfg.pump_waist
-                       / cfg.fiber_mode_radius)
-    raise DomainError(f"variable must be one of {VARIABLES}, got {variable!r}")
-
-
 def _prescan_grid(lo: float, hi: float) -> list[float]:
     grid = [lo + (hi - lo) * k / (_N_PRESCAN - 1) for k in range(_N_PRESCAN)]
     if grid[-1] == math.inf:
@@ -192,7 +191,7 @@ def _eta_of_xi(length: float, rp: float, w: float, ab: AlphaBeta):
     ratio = length / rp
 
     def eta_at(value: float) -> float:
-        # xi through its mu, as _with_variable passes it to shape_params
+        # xi through its mu = xi*r_p/w, the config's mu at that xi
         return _eta(_xi_terms(w, value * rp / w, rp, ab), ratio)
     return eta_at
 
@@ -250,11 +249,12 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     length, rp = cfg.crystal_length, cfg.pump_waist
     w, mu = cfg.fiber_mode_radius, cfg.inverse_magnification
 
-    # both ends must make a valid configuration, as _with_variable builds
-    # it, and the points in between then need only the closed form's own
-    # checks: a mu or r_p end is a valid field as a bound is, and an xi
-    # end where its mu is.  Each eta_at repeats the arithmetic of
-    # efficiency(_with_variable(...))
+    # both ends must make a valid configuration, cfg with the variable
+    # set to the end (an xi through its mu = xi*r_p/w), and the points in
+    # between then need only the closed form's own checks: a mu or r_p
+    # end is a valid field as a bound is, and an xi end where its mu is.
+    # Each eta_at repeats the arithmetic of efficiency() on that
+    # configuration
     if variable == "mu":
         ratio = length / rp
 
@@ -297,7 +297,7 @@ def ceiling_scan(pump_waist: float, walkoffs: WalkOffSet,
     # checks them, once: no check depends on the length
     template = ExperimentConfig(grid[0], pump_waist, 1.0, 1.0, walkoffs)
     pump_waist = template.pump_waist  # as the check read it
-    for value in (lo, hi):  # the mu of _with_variable at w = 1
+    for value in (lo, hi):  # the mu = xi*r_p/w of each xi end at w = 1
         _require_in("inverse_magnification", value * pump_waist, "> 0")
     ab = compute_alpha_beta(walkoffs)
     xi_grid = _prescan_grid(lo, hi)

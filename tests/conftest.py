@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 from hypothesis import settings
 
 from spdcfc import ExperimentConfig, SweepRow, WalkOffSet
+from spdcfc.core import VARIABLES
+from spdcfc.errors import DomainError
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -26,3 +30,18 @@ def bare_row(length, mu, xi, eta) -> SweepRow:
     row = object.__new__(SweepRow)
     row.__dict__.update(length=length, mu=mu, xi=xi, eta=eta)
     return row
+
+
+def _with_variable(cfg: ExperimentConfig, variable: str,
+                   value: float) -> ExperimentConfig:
+    # cfg with one design variable of maximize_eta set to value: the
+    # configuration whose eta maximize_eta evaluates there
+    if variable == "mu":
+        return replace(cfg, inverse_magnification=value)
+    if variable == "rp":
+        return replace(cfg, pump_waist=value)
+    if variable == "xi":
+        # eta sees mu only through xi = w*mu/r_p, so sweep xi via mu
+        return replace(cfg, inverse_magnification=value * cfg.pump_waist
+                       / cfg.fiber_mode_radius)
+    raise DomainError(f"variable must be one of {VARIABLES}, got {variable!r}")

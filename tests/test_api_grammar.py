@@ -13,7 +13,9 @@ Each call must
 - return, or raise a ``DomainError`` (subclasses included), and nothing
   else;
 - raise no warning;
-- return no NaN in any float it returns, nested in tuples or fields.
+- return no NaN in any float it returns, nested in tuples or fields;
+- return no infinite float when no float among its arguments is
+  infinite.
 
 A call whose number arguments are in range but for one that is NaN or
 infinite must be refused as ``<name> must be finite, got <value>``.
@@ -32,7 +34,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import spdcfc
 from spdcfc import (AlphaBeta, EfficiencyResult,
@@ -362,3 +364,35 @@ def test_a_non_finite_number_is_refused_by_the_number_rule(name):
             assert str(result) == f"{shown} must be finite, got {bad}"
 
     run()
+
+
+def finite(spec) -> st.SearchStrategy:
+    # an argument whose numbers are finite: in range, or any finite float
+    # with the extremes among them
+    if isinstance(spec, Given):
+        return spec.strategy
+    each = st.one_of(SPECIAL_FLOATS.filter(math.isfinite), spec.good, FINITE)
+    return each if isinstance(spec, Num) else items(spec, each)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_no_infinite_result_without_an_infinite_argument(name):
+    func, params = CALLS[name]
+
+    @settings(SEEDED, max_examples=30)
+    @given(st.one_of(st.tuples(*map(finite, params)),
+                     RARE_CALLS.get(name, st.nothing())))
+    def run(args):
+        assume(not any(map(math.isinf, floats_in(args))))
+        result = outcome(func, args)
+        if not isinstance(result, DomainError):
+            assert not any(map(math.isinf, floats_in(result))), result
+
+    run()
+
+
+def test_sigma_over_erf_is_sigma_where_its_reciprocal_overflows():
+    # erf is exactly 1 at the largest floats, where 1/erf_over_sigma
+    # overflows; below them the value keeps its bits
+    assert sigma_over_erf(BIGGEST) == BIGGEST
+    assert sigma_over_erf(1e300) == 1.0 / erf_over_sigma(1e300)

@@ -8,7 +8,8 @@ sigmas and the arms tested.  These tests put each failure there, one
 sigma at a time, and check the text it had when every point ran all
 three tests.  The sweeps' pre-scan takes the first of tied maxima.  The
 optimizer refuses a template that is not a configuration, the result
-records refuse what their docstrings exclude, and a thin lens whose mu
+records refuse what their docstrings exclude (an optimum's variable,
+count, flag and bracket order included), and a thin lens whose mu
 overflows is refused as one whose image distance does.
 """
 
@@ -150,6 +151,39 @@ def test_an_opt_result_refuses_what_its_docstring_excludes(argmax, bracket,
                                                            message):
     assert refusal(lambda: OptResult("xi", argmax, 0.5, bracket, 20,
                                      False)) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    (("mu", 1.0, 0.5, (2.0, 1.0), 20, False),
+     "bracket must satisfy lo <= hi, got (2.0, 1.0)"),
+    (("L", 1.0, 0.5, (0.5, 2.0), 20, False),
+     "variable must be one of ('mu', 'rp', 'xi'), got 'L'"),
+    (("mu", 1.0, 0.5, (0.5, 2.0), -1, False),
+     "iterations must be an integer >= 0, got -1"),
+    (("mu", 1.0, 0.5, (0.5, 2.0), 20.0, False),
+     "iterations must be an integer >= 0, got 20.0"),
+    (("mu", 1.0, 0.5, (0.5, 2.0), True, False),
+     "iterations must be an integer >= 0, got True"),
+    (("mu", 1.0, 0.5, (0.5, 2.0), 20, "yes"),
+     "boundary must be a bool, got 'yes'"),
+    (("mu", 1.0, 0.5, (0.5, 2.0), 20, 1), "boundary must be a bool, got 1"),
+    # the float checks speak first
+    (("L", math.nan, 0.5, (2.0, 1.0), -1, "yes"),
+     "argmax must be finite, got nan"),
+    (("L", 1.0, 0.5, (2.0, 1.0), -1, "yes"),
+     "bracket must satisfy lo <= hi, got (2.0, 1.0)"),
+])
+def test_an_opt_result_refuses_a_bad_variable_count_flag_or_order(args,
+                                                                  message):
+    assert refusal(lambda: OptResult(*args)) == message
+
+
+def test_an_opt_result_takes_a_bracket_whose_ends_are_equal():
+    # the pre-scan grid is monotone, so the refined cell has lo <= hi,
+    # and its two ends meet where the bounds are a float apart
+    res = maximize_eta(reference_config(), "mu",
+                       (500.0, math.nextafter(500.0, 600.0)))
+    assert res.bracket == (500.0, 500.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Command-line outputs pinned byte for byte, and the exit codes of inputs
-that are wrong in more than one way or carry malformed config values."""
+"""Command-line outputs pinned byte for byte, the exit codes of inputs
+that are wrong in more than one way or carry malformed config values, and
+the precedence of flags, config files and defaults."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +296,76 @@ def test_whole_float_grid_sizes_and_null_entries_are_accepted(capsys,
            "L_um": None, "mu": None}
     assert run_cli([*base, "--config", write_config(tmp_path, doc)],
                    capsys) == expected
+
+
+# ---------------------------------------------------------------------------
+# quadrature values: a flag, else the config file, else QuadratureSpec's
+# ---------------------------------------------------------------------------
+
+ORACLE_FLAGS = ["oracle", "--L-mm", "3", *REFERENCE_FLAGS, "--format", "json"]
+
+
+def test_quadrature_flag_over_file_over_default(capsys, tmp_path):
+    path = write_config(tmp_path, {"schema_version": 1, "quadrature": {
+        "n_tau": 16, "n_trans": 32, "extent_factor": 8}})
+    from_file = run_cli([*ORACLE_FLAGS, "--config", path], capsys)
+    flagged = run_cli([*ORACLE_FLAGS, "--config", path, "--n-tau", "32"],
+                      capsys)
+    # target_rel_err is in neither, so it is QuadratureSpec's 1e-5
+    assert from_file == run_cli([*ORACLE_FLAGS, "--n-tau", "16", "--n-trans",
+                                 "32", "--extent-factor", "8"], capsys)
+    assert flagged == run_cli([*ORACLE_FLAGS, "--n-tau", "32", "--n-trans",
+                               "32", "--extent-factor", "8"], capsys)
+    # each source changes the output, so each comparison above tells
+    defaults = run_cli(ORACLE_FLAGS, capsys)
+    assert len({from_file[1], flagged[1], defaults[1]}) == 3
+
+
+# ---------------------------------------------------------------------------
+# an unconverged oracle run
+# ---------------------------------------------------------------------------
+
+UNCONVERGED = ["oracle", "--L-mm", "3", "--rp-um", "53", "--w-um", "1.48",
+               "--mu", repr(5.0 * 53.0 / 1.48), *WALKOFF_FLAGS, "--n-tau",
+               "8", "--n-trans", "16", "--extent-factor", "4"]
+UNCONVERGED_ERROR = (
+    "error: oracle did not converge to 1e-05 after two refinements: last "
+    "values 0.123789588 and 0.122979884 (est_rel_err 0.00658)\n")
+
+
+def test_unconverged_oracle_text_is_pinned(capsys):
+    assert run_cli(UNCONVERGED, capsys) == (1, (
+        "eta_closed    = 0.122979884\n"
+        "eta_numeric   = 0.122979884   (unconverged)\n"
+        "est_rel_err   = 0.00658403451\n"), UNCONVERGED_ERROR)
+
+
+def test_unconverged_oracle_json_is_pinned(capsys):
+    code, out, err = run_cli([*UNCONVERGED, "--format", "json"], capsys)
+    # the quadrature's two values at 9 digits: their last bits follow the
+    # BLAS build's order of summation
+    out = re.sub(r'("(?:eta_numeric|est_rel_err)": )([^,\n]+)',
+                 lambda m: m[1] + format(float(m[2]), ".9g"), out)
+    assert (code, err) == (1, UNCONVERGED_ERROR)
+    assert out == """{
+  "schema_version": 1,
+  "config": {
+    "L_um": 3000.0,
+    "rp_um": 53.0,
+    "w_um": 1.48,
+    "mu": 179.05405405405406,
+    "walkoffs": {
+      "Mp": 0.07631,
+      "M": 0.07243,
+      "QK": 0.036215
+    }
+  },
+  "eta_closed": 0.12297988368764415,
+  "eta_numeric": 0.122979884,
+  "est_rel_err": 0.00658403451,
+  "pass": false
+}
+"""
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ from spdcfc import (
 )
 from spdcfc.core import EROS_SERIES_CUTOFF
 from spdcfc.errors import DomainError
-from spdcfc.sweep import _with_variable
 
-from conftest import REFERENCE_WALKOFFS
+from conftest import REFERENCE_WALKOFFS, _with_variable
 
 PUMP_WAISTS = (53.0, 41.7, 88.5, 17.3, 211.0)
 XI_LO = 0.1  # ceiling_scan's lower xi bound

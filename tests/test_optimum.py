@@ -22,7 +22,8 @@ from spdcfc import (
     efficiency,
     maximize_eta,
 )
-from spdcfc.sweep import _with_variable
+
+from conftest import _with_variable
 
 REL_TOL = 1e-6  # maximize_eta's tolerance
 

@@ -15,9 +15,8 @@ import random
 import pytest
 
 from spdcfc import ExperimentConfig, QuadratureSpec, eta_numeric, maximize_eta
-from spdcfc.sweep import _with_variable
 
-from conftest import REFERENCE_WALKOFFS
+from conftest import REFERENCE_WALKOFFS, _with_variable
 
 DELTA = 1e-2
 SPEC = QuadratureSpec(target_rel_err=1e-9)

@@ -19,8 +19,8 @@ import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet, compute_alpha_beta, efficiency
 from spdcfc import maximize_eta
-from spdcfc.sweep import _with_variable
 
+from conftest import _with_variable
 from test_optimum import derivative_root, dlog_erf_over_sigma, dlog_eta_dxi
 
 REL_TOL = 1e-6  # maximize_eta's tolerance

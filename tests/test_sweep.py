@@ -18,9 +18,8 @@ from spdcfc import (
 )
 from spdcfc.errors import DomainError
 from spdcfc import sweep
-from spdcfc.sweep import _with_variable
 
-from conftest import REFERENCE_WALKOFFS, reference_config
+from conftest import REFERENCE_WALKOFFS, _with_variable, reference_config
 from test_core import ETA_1MM, ETA_3MM
 
 

@@ -14,9 +14,13 @@ cutoff, values that are not numbers, ``Decimal`` numbers and int fields
 from 1 to ``10**308``, the index-model check on scaled copies of the
 bundled Sellmeier coefficients, configurations whose product w*mu
 leaves the normal float range beside copies scaled back into it, index
-models whose arithmetic reaches past the float range, and design studies
+models whose arithmetic reaches past the float range, design studies
 on bundled-BBO walk-offs over the design ranges of the benchmark's
-``design_scan``.  The list depends only on the seed, so
+``design_scan``, and in-process command lines through ``spdcfc.cli.main``
+(seeded argv draws over all five subcommands and config files of every
+form), whose exit code, stdout and stderr are recorded with the
+temporary directory's path replaced by ``<tmp>``.  The list depends only
+on the seed, so
 a dump of one checkout under two environments, or of two checkouts, can
 be compared entry by entry.
 
@@ -27,10 +31,14 @@ the numpy its oracle imports).  A dump takes well under 30 s.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -129,7 +137,8 @@ def closed_form_calls(api, rng: random.Random) -> list[tuple[str, object]]:
         calls.append((f"eta_closed_form{args!r}",
                       lambda a=args: api.eta_closed_form(api.ShapeParams(
                           *a, api.AlphaBeta(0.01, 0.02, 0.03)))))
-    for x in (*SPECIALS, CUTOFF, 0.5, 7.0, 1e-310, "1", None):
+    for x in (*SPECIALS, CUTOFF, 0.5, 7.0, 1e-310, sys.float_info.max, "1",
+              None):
         for fn in (api.erf, api.erf_over_sigma, api.sigma_over_erf):
             calls.append((f"{fn.__name__}({x!r})", lambda f=fn, v=x: f(v)))
     for args in ((0.5, 0.9, 0.8), (1.0, 5e-324, 0.5), (0.3, 1.0, 1.0),
@@ -138,6 +147,14 @@ def closed_form_calls(api, rng: random.Random) -> list[tuple[str, object]]:
                       lambda a=args: api.effective_to_raw(*a)))
         calls.append((f"raw_to_effective{args!r}",
                       lambda a=args: api.raw_to_effective(*a)))
+    # optimum records with a bracket out of order, a variable, count or
+    # flag of the wrong kind, and equal bracket ends
+    for args in (("mu", 1.0, 0.5, (2.0, 1.0), -1, "yes"),
+                 ("L", 1.0, 0.5, (1.0, 2.0), 20, False),
+                 ("xi", 1.0, 0.5, (1.0, 2.0), True, False),
+                 ("xi", 1.0, 0.5, (1.0, 2.0), 20, 0),
+                 ("xi", 1.0, 0.5, (1.0, 1.0), 0, True)):
+        calls.append((f"OptResult{args!r}", lambda a=args: api.OptResult(*a)))
     for args in ((50.0, 100.0), (50.0, 50.0), (-1.0, 5.0), (1e-300, 1e300)):
         calls.append((f"magnification{args!r}",
                       lambda a=args: api.magnification(*a)))
@@ -539,15 +556,184 @@ def design_study_calls(api) -> list[tuple[str, object]]:
     return calls
 
 
+# command lines: numbers a draw may put in a numeric flag, grid sizes for
+# --n-tau and --n-trans (small, so that no draw allocates much), and the
+# optional flags a draw may add with a sane value (params takes only the
+# geometry ones)
+CLI_ADVERSARIAL = ("0", "-1", "1e-320", "1e-150", "1e-7", "1e150", "1e300",
+                   "nan", "inf", "-inf")
+CLI_GRID_SIZES = ("0", "-1", "1", "2", "8", "16", "1.5", "nan", "1e3")
+CLI_GEOMETRY = {"--pump-nm": "415", "--cut-angle-deg": "42.9",
+                "--cone-angle-deg": "3.5"}
+CLI_OPTIONAL = {"--mfd-um": "4.19", "--f-mm": "8", "--dbl-mm": "400",
+                **CLI_GEOMETRY}
+CLI_QUADRATURE = {"--extent-factor": "6", "--target-rel-err": "1e-5"}
+CLI_WALKOFF_PAIRS = [["--Mp", "0.07631"], ["--M", "0.07243"],
+                     ["--QK", "0.036215"]]
+REF_CONFIG = {"schema_version": 1, "L_um": 3000.0, "rp_um": 53.0,
+              "w_um": 1.48, "mu": 49.0,
+              "walkoffs": {"Mp": 0.07631, "M": 0.07243, "QK": 0.036215}}
+# what a config file's entry may be replaced with: "drop" removes it,
+# "huge" is an integer past the float range
+CONFIG_VALUES = (None, "3000", True, [1], {"v": 1}, "huge", math.nan, 64.0,
+                 64.9, 0, -1.0, 1e300, "drop")
+
+
+def cli_argv(rng: random.Random, command: str, pole: str) -> list[str]:
+    # a line at the reference design point, then up to three mutations:
+    # a flag dropped, or one number of a present or an added flag made
+    # adversarial
+    if rng.random() < 0.5:
+        pairs = [list(p) for p in CLI_WALKOFF_PAIRS]
+    else:
+        pairs = [["--sellmeier", pole]] if rng.random() < 0.2 else [
+            ["--sellmeier"]]
+    optional = CLI_GEOMETRY
+    if command != "params":
+        optional = CLI_OPTIONAL
+        pairs += [["--rp-um", "53"], ["--w-um", "1.48"]]
+        if command == "sweep":
+            pairs.append(["--L-range", "1:3:1"])
+            if rng.random() < 0.5:
+                pairs.append(["--mu", "25,49"])
+        else:
+            pairs += [["--L-mm", "3"], ["--mu", "49"]]
+    if command == "optimize":
+        pairs += [["--var", rng.choice(("mu", "xi", "rp"))],
+                  ["--bounds", "1:100"]]
+    if command == "oracle":
+        optional = {**CLI_OPTIONAL, **CLI_QUADRATURE}
+        if rng.random() < 0.3:
+            pairs += [["--n-tau", "8"], ["--n-trans", "16"]]
+    for _ in range(rng.choice((0, 1, 1, 1, 2, 2, 3))):
+        if rng.random() < 0.1 and len(pairs) > 1:
+            pairs.pop(rng.randrange(len(pairs)))
+            continue
+        if rng.random() < 0.3:
+            flag = rng.choice(list(optional))
+            pairs.append([flag, optional[flag]])
+        pair = rng.choice(pairs)
+        if len(pair) == 1:  # a bare --sellmeier
+            continue
+        if pair[0] in ("--n-tau", "--n-trans"):
+            pair[1] = rng.choice(CLI_GRID_SIZES)
+        elif pair[0] == "--var":
+            pair[1] = rng.choice(("mu", "xi", "rp", "L"))
+        elif pair[0] == "--sellmeier":
+            pair[1] = rng.choice(CLI_ADVERSARIAL)  # a file that is not there
+        else:  # one part of a colon or comma list, or the whole number
+            parts = pair[1].replace(":", ",").split(",")
+            parts[rng.randrange(len(parts))] = rng.choice(CLI_ADVERSARIAL)
+            pair[1] = (":" if ":" in pair[1] else ",").join(parts)
+    if rng.random() < 0.3:
+        pairs.append(["--format", "json"])
+    rng.shuffle(pairs)
+    return [command] + [token for pair in pairs for token in pair]
+
+
+def config_doc(rng: random.Random) -> tuple[str, dict, list[str]]:
+    # a command, a config file for it and the flags that go with it: the
+    # flat form, the wrapped form `eval --format json` prints, or a
+    # quadrature-only file beside the reference flags; then up to two of
+    # its entries replaced or dropped, or an unknown key added
+    command = rng.choice(("eval", "sweep", "optimize", "oracle"))
+    quadrature = {"n_tau": rng.choice((16, 32.0, 64)),
+                  "n_trans": rng.choice((32, 48.0, 96)),
+                  "extent_factor": rng.choice((6, 8.0)),
+                  "target_rel_err": rng.choice((1e-5, 1e-3, None))}
+    flags = {"sweep": ["--L-range", "1:3:1"],
+             "optimize": ["--var", "xi", "--bounds", "0.1:10"]}.get(command,
+                                                                  [])
+    form = rng.choice(("flat", "wrapped", "quadrature-only"))
+    doc = json.loads(json.dumps(REF_CONFIG))
+    if form == "quadrature-only":
+        doc = {"schema_version": 1, "quadrature": quadrature}
+        flags += ["--rp-um", "53", "--w-um", "1.48",
+                  *(t for p in CLI_WALKOFF_PAIRS for t in p)]
+        if command in ("eval", "optimize", "oracle"):
+            flags += ["--L-mm", "3", "--mu", "49"]
+    elif command == "oracle":
+        doc["quadrature"] = quadrature
+    if form != "quadrature-only" and rng.random() < 0.2:
+        doc.update(L_um=3000, rp_um=53)  # echoed as written
+    entries = [(doc, key) for key in doc]
+    entries += [(doc[key], sub) for key in ("walkoffs", "quadrature")
+                if isinstance(doc.get(key), dict) for sub in doc[key]]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        if rng.random() < 0.1:
+            doc["unknown"] = 1
+            continue
+        where, key = rng.choice(entries)
+        value = rng.choice(CONFIG_VALUES + ((2, 1.0) if key ==
+                                            "schema_version" else ()))
+        if value == "drop":
+            where.pop(key, None)
+        else:
+            where[key] = 10 ** 400 if value == "huge" else value
+    if form == "wrapped":  # the version, if any, moves to the outer object
+        outer = {k: doc.pop(k) for k in ("schema_version",) if k in doc}
+        doc = {**outer, "config": doc, "eta": 0.435, "shape": {"xi": 1.0}}
+    return command, doc, flags
+
+
+def run_cli(cli, argv: list[str], tmp: str) -> tuple:
+    # exit code, stdout and stderr of one in-process command line, with
+    # the temporary directory's path replaced by a fixed token
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage failures
+            code = exc.code
+    return (code, out.getvalue().replace(tmp, "<tmp>"),
+            err.getvalue().replace(tmp, "<tmp>"))
+
+
+def cli_calls(tmp: str) -> list[tuple[str, object]]:
+    # command lines of all five subcommands, then config files, each in
+    # text and in JSON; their own stream, so the calls above keep theirs.
+    # A Sellmeier file with a pole in its range takes about a fifth of
+    # the draws that name a file
+    import spdcfc.cli as cli
+
+    rng = random.Random(f"{SEED}:cli")
+    os.environ.pop(cli.SELLMEIER_PATH_ENV, None)  # --sellmeier's default
+    pole = os.path.join(tmp, "pole.json")
+    with open(pole, "w", encoding="utf-8") as fh:
+        json.dump({"material": "pole", "citation": "",
+                   "ordinary": {"form": "sellmeier-1",
+                                "coeffs": [2.7359, 0.01878, 0.5, 0.01354],
+                                "range_um": [0.205, 1.06]},
+                   "extraordinary": {"form": "sellmeier-1",
+                                     "coeffs": [2.3753, 0.01224, 0.01667,
+                                                0.01516],
+                                     "range_um": [0.205, 1.06]}}, fh)
+    argvs = [cli_argv(rng, command, pole)
+             for command in ("eval", "sweep", "optimize", "oracle", "params")
+             for _ in range(100)]
+    for k in range(80):
+        command, doc, flags = config_doc(rng)
+        path = os.path.join(tmp, f"config-{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argvs += [[command, "--config", path, *flags, "--format", fmt]
+                  for fmt in ("text", "json")]
+    argvs.append(["eval", "--config", os.path.join(tmp, "missing.json")])
+    return [(f"cli {' '.join(argv).replace(tmp, '<tmp>')}",
+             lambda a=argv: run_cli(cli, a, tmp)) for argv in argvs]
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
-    calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
-             + dispersion_calls(api, rng) + number_kind_calls(api)
-             + int_calls(api) + sellmeier_domain_calls(api)
-             + xi_range_calls(api) + sellmeier_overflow_calls(api)
-             + number_rule_calls(api) + design_study_calls(api))
-    record = [[name, outcome(call)] for name, call in calls]
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = (closed_form_calls(api, rng) + oracle_calls(api, rng)
+                 + dispersion_calls(api, rng) + number_kind_calls(api)
+                 + int_calls(api) + sellmeier_domain_calls(api)
+                 + xi_range_calls(api) + sellmeier_overflow_calls(api)
+                 + number_rule_calls(api) + design_study_calls(api)
+                 + cli_calls(tmp))
+        record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
     errors = sum("error" in o for _, o in record)
