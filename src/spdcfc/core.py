@@ -55,6 +55,7 @@ are frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, NoRealImageError
@@ -161,44 +162,25 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _store_checked(obj, name: str, value: float) -> None:
-    # a frozen type keeps, for field name, the float its check returned,
-    # so that it computes with floats only: an int, a Decimal, ... is
-    # replaced, and a float, which the check returns as it is, stays
-    if type(getattr(obj, name)) is not float:
-        object.__setattr__(obj, name, value)
-
-
 def _check_fields(obj, names: tuple[str, ...], rule: str) -> None:
     # each field of a frozen type through _require_in, in order, and
-    # stored as _store_checked stores it
+    # stored as the float the check returned, so that the type computes
+    # with floats only (an int, a Decimal, a numpy float, ... is replaced)
     for name in names:
-        _store_checked(obj, name, _require_in(name, getattr(obj, name), rule))
+        object.__setattr__(obj, name,
+                           _require_in(name, getattr(obj, name), rule))
 
 
-def _require_pair(name: str, values) -> tuple:
-    # (lo, hi) from values, each item through the number rule as it is
-    # met: as when unpacking lo, hi, a bad item among the first three
-    # speaks before the count does, and no fourth item is read
-    try:
-        items = iter(values)
-    except TypeError:  # None, a bare number, ...
-        items = iter(())
-    pair = []
-    for item in items:
-        pair.append(_require_finite(name, item))
-        if len(pair) > 2:
-            break
-    if len(pair) != 2:
-        raise DomainError(
-            f"{name} must be a pair (lo, hi), got {values!r:.60}")
-    return tuple(pair)
-
-
-# the ranges _require_in checks, keyed by the text its message prints: a
-# number checked against one passes _require_finite first, so it is
-# refused as "<name> must be finite, got <value>" when NaN or infinite
-# and as "<name> must be <range>, got <value>" outside the range
+# The number rule, one rule per kind of argument.  A number passes
+# _require_finite and, where it has a range, _require_in against the
+# range of _RANGES keyed by the text its message prints: it is refused as
+# "<name> must be finite, got <value>" when NaN or infinite and as
+# "<name> must be <range>, got <value>" outside the range.  An ordered
+# pair (lo, hi) passes _require_pair: each item through _require_finite,
+# then the one order of _ORDERS it names, refused as "<name> must
+# satisfy <order>, got (<lo>, <hi>)".  A count passes _require_count: an
+# int, or what operator.index reads as one (a numpy integer), stored as
+# an int; never a bool, Python's or numpy's.
 _RANGES = {
     "> 0": lambda v: v > 0.0,
     ">= 0": lambda v: v >= 0.0,
@@ -217,6 +199,50 @@ def _require_in(name: str, value: float, rule: str) -> float:
     value = _require_finite(name, value)
     if not _RANGES[rule](value):
         raise DomainError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+_ORDERS = {
+    "0 < lo < hi": lambda lo, hi: 0.0 < lo < hi,
+    "0 < lo <= hi": lambda lo, hi: 0.0 < lo <= hi,
+    "0 < lo < hi < 90": lambda lo, hi: 0.0 < lo < hi < 90.0,
+}
+
+
+def _require_pair(name: str, values, order: str) -> tuple[float, float]:
+    # (lo, hi) from values, each item through the number rule as it is
+    # met: as when unpacking lo, hi, a bad item among the first three
+    # speaks before the count does, and no fourth item is read; then the
+    # order of _ORDERS named by order
+    try:
+        items = iter(values)
+    except TypeError:  # None, a bare number, ...
+        items = iter(())
+    pair = []
+    for item in items:
+        pair.append(_require_finite(name, item))
+        if len(pair) > 2:
+            break
+    if len(pair) != 2:
+        raise DomainError(
+            f"{name} must be a pair (lo, hi), got {values!r:.60}")
+    lo, hi = pair
+    if not _ORDERS[order](lo, hi):
+        raise DomainError(f"{name} must satisfy {order}, got ({lo}, {hi})")
+    return lo, hi
+
+
+def _require_count(name: str, value, least: int) -> int:
+    try:
+        # numpy 1.x's operator.index reads a numpy bool as 0 or 1 (with a
+        # DeprecationWarning), so its bools are refused by their dtype
+        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:  # a float, None, text, ...
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
     return value
 
 

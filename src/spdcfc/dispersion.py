@@ -33,7 +33,7 @@ from pathlib import Path
 
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
 from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _check_fields,
-                   _require_finite, _require_in, _require_pair, _store_checked)
+                   _require_finite, _require_in, _require_pair)
 from .errors import DomainError, WavelengthRangeError
 
 # Width at which the phase-matching bisection stops.  Far above the float
@@ -265,7 +265,7 @@ class TemporalParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            _store_checked(self, name, _require_finite(name, value))
+            object.__setattr__(self, name, _require_finite(name, value))
 
 
 def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
@@ -353,10 +353,7 @@ def phase_match_angle(model: IndexModel, pump_wavelength: float,
     """
     lam_p = _require_finite("pump_wavelength", pump_wavelength)
     lam_d = 2.0 * lam_p
-    lo, hi = _require_pair("bracket_deg", bracket_deg)
-    if not 0.0 < lo < hi < 90.0:
-        raise DomainError(
-            f"bracket_deg must satisfy 0 < lo < hi < 90, got ({lo}, {hi})")
+    lo, hi = _require_pair("bracket_deg", bracket_deg, "0 < lo < hi < 90")
 
     def mismatch(theta: float) -> float:
         return (extraordinary_index(model, lam_p, theta)

@@ -60,10 +60,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
-from .core import ExperimentConfig, WalkOffSet, _check_fields, _require_finite
+from .core import (ExperimentConfig, WalkOffSet, _check_fields, _require_count,
+                   _require_finite)
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -112,18 +112,9 @@ class QuadratureSpec:
     target_rel_err: float = 1e-5
 
     def __post_init__(self):
-        for name in ("n_tau", "n_trans"):
-            n = getattr(self, name)
-            try:
-                if isinstance(n, bool):  # an int, but not a count
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(n))
-            except TypeError:  # a float, None, text, ...
-                raise DomainError(f"{name} must be an integer, got {n!r}") from None
-        if self.n_tau < 8:
-            raise DomainError(f"n_tau must be >= 8, got {self.n_tau}")
-        if self.n_trans < 16:
-            raise DomainError(f"n_trans must be >= 16, got {self.n_trans}")
+        for name, least in (("n_tau", 8), ("n_trans", 16)):
+            object.__setattr__(self, name, _require_count(
+                name, getattr(self, name), least))
         if (self.n_tau > MAX_N_TAU
                 or 16 * self.n_tau * self.n_trans > MAX_GRID_POINTS):
             raise DomainError(

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
-                   WalkOffSet, _check_fields, _eta, _require_finite,
-                   _require_in, _require_pair, _xi_terms, compute_alpha_beta)
+                   WalkOffSet, _check_fields, _eta, _require_count,
+                   _require_finite, _require_in, _require_pair, _xi_terms,
+                   compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -90,6 +91,12 @@ class SweepResult:
             raise DomainError("sweep row with eta outside (0, 1]")
 
 
+def _require_variable(variable: str) -> None:
+    if variable not in VARIABLES:
+        raise DomainError(
+            f"variable must be one of {VARIABLES}, got {variable!r}")
+
+
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of a scalar maximization.
@@ -114,18 +121,11 @@ class OptResult:
     def __post_init__(self):
         _check_fields(self, ("argmax",), "> 0")
         _check_fields(self, ("eta_max",), "in (0, 1]")
-        lo, hi = (_require_in("bracket", v, "> 0")
-                  for v in _require_pair("bracket", self.bracket))
-        if lo > hi:
-            raise DomainError(
-                f"bracket must satisfy lo <= hi, got ({lo}, {hi})")
-        object.__setattr__(self, "bracket", (lo, hi))
-        if self.variable not in VARIABLES:
-            raise DomainError(f"variable must be one of {VARIABLES}, "
-                              f"got {self.variable!r}")
-        n = self.iterations
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise DomainError(f"iterations must be an integer >= 0, got {n!r}")
+        object.__setattr__(self, "bracket", _require_pair(
+            "bracket", self.bracket, "0 < lo <= hi"))
+        _require_variable(self.variable)
+        object.__setattr__(self, "iterations",
+                           _require_count("iterations", self.iterations, 0))
         if not isinstance(self.boundary, bool):
             raise DomainError(
                 f"boundary must be a bool, got {self.boundary!r}")
@@ -240,11 +240,10 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     bracket shrinks below 1e-6 relative to the variable.  The
     returned maximum is never below the best pre-scan point.
     """
-    lo, hi = _require_pair("bounds", bounds)
-    if not 0.0 < lo < hi:
-        raise DomainError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    lo, hi = _require_pair("bounds", bounds, "0 < lo < hi")
     if not isinstance(cfg, ExperimentConfig):
         raise DomainError("cfg must be an ExperimentConfig")
+    _require_variable(variable)
     ab = compute_alpha_beta(cfg.walkoffs)
     length, rp = cfg.crystal_length, cfg.pump_waist
     w, mu = cfg.fiber_mode_radius, cfg.inverse_magnification
@@ -263,13 +262,10 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     elif variable == "rp":
         def eta_at(value: float) -> float:
             return _eta(_xi_terms(w, mu, value, ab), length / value)
-    elif variable == "xi":
+    else:  # "xi"
         for value in (lo, hi):
             _require_in("inverse_magnification", value * rp / w, "> 0")
         eta_at = _eta_of_xi(length, rp, w, ab)
-    else:
-        raise DomainError(
-            f"variable must be one of {VARIABLES}, got {variable!r}")
 
     grid = _prescan_grid(lo, hi)
     argmax, eta_max, bracket, iterations = _refine(

@@ -16,17 +16,19 @@ bundled Sellmeier coefficients, configurations whose product w*mu
 leaves the normal float range beside copies scaled back into it, index
 models whose arithmetic reaches past the float range, design studies
 on bundled-BBO walk-offs over the design ranges of the benchmark's
-``design_scan``, and in-process command lines through ``spdcfc.cli.main``
+``design_scan``, in-process command lines through ``spdcfc.cli.main``
 (seeded argv draws over all five subcommands and config files of every
 form), whose exit code, stdout and stderr are recorded with the
-temporary directory's path replaced by ``<tmp>``.  The list depends only
-on the seed, so
-a dump of one checkout under two environments, or of two checkouts, can
-be compared entry by entry.
+temporary directory's path replaced by ``<tmp>``, and counts given as
+numpy integers, bools and integral floats beside ordered pairs at the
+edges of their orders.  The list depends only on the seed, so a dump
+of one checkout under two environments, or of two checkouts, can be
+compared entry by entry.
 
 ``compare`` prints every call whose outcome differs and exits 1 if
-any does, 0 if none does.  Standard library only, besides spdcfc (and
-the numpy its oracle imports).  A dump takes well under 30 s.
+any does, 0 if none does.  Standard library only, besides spdcfc and
+numpy (which the oracle imports, and whose integers some counts are).
+A dump takes well under 30 s.
 """
 
 from __future__ import annotations
@@ -556,6 +558,73 @@ def design_study_calls(api) -> list[tuple[str, object]]:
     return calls
 
 
+def count_and_pair_calls(api) -> list[tuple[str, object]]:
+    # counts (grid sizes and golden-section steps) as ints, numpy integers
+    # of several widths, bools (Python's and numpy's), integral floats and
+    # other kinds, a seeded few near each count's least value; then ordered
+    # pairs at each edge of their order and one float past it, for
+    # maximize_eta's bounds, an optimum's bracket and the phase-matching
+    # bracket.  Their own stream, so the calls above keep theirs
+    import numpy as np
+
+    rng = random.Random(f"{SEED}:counts-and-pairs")
+    kinds = (int, np.int64, np.int32, np.int16, np.uint8, np.uint64)
+    others = (-1, True, False, np.True_, np.False_, 64.0, 16.0, 3.0,
+              np.float64(64.0), 64.5, None, "96", 10 ** 400)
+    builds = {"QuadratureSpec.n_tau": (8, lambda v: api.QuadratureSpec(
+                  n_tau=v)),
+              "QuadratureSpec.n_trans": (16, lambda v: api.QuadratureSpec(
+                  n_trans=v)),
+              "OptResult.iterations": (0, lambda v: api.OptResult(
+                  "mu", 1.0, 0.5, (0.5, 2.0), v, False))}
+    calls = []
+    for name, (least, build) in builds.items():
+        values = list(others)
+        values += [rng.choice(kinds)(rng.randint(max(least - 2, 0),
+                                                 least + 100))
+                   for _ in range(12)]
+        calls += [(f"{name}({v!r})", lambda b=build, v=v: b(v))
+                  for v in values]
+    # both grid sizes wrong: the first one checked speaks
+    for n_tau, n_trans in ((7, 16.5), (np.int64(7), True), (64.0, 8),
+                           (np.True_, np.int32(15)), (8, 16)):
+        calls.append((f"QuadratureSpec({n_tau!r}, {n_trans!r})",
+                      lambda a=n_tau, b=n_trans: api.QuadratureSpec(a, b)))
+    bbo = api.bundled_bbo()
+    cfg = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0,
+                               api.WalkOffSet(*REF_WALKOFFS))
+    # w*mu = 1e-20 keeps xi normal for r_p down to 5e-324
+    tiny = api.ExperimentConfig(1e-320, 1.0, 1e-300, 1e-20,
+                                api.WalkOffSet(*REF_WALKOFFS))
+    pairs = []
+    for _ in range(8):
+        lo = rng.uniform(1.0, 80.0)
+        hi = rng.uniform(lo, 89.0)
+        pairs += [(lo, lo), (lo, math.nextafter(lo, math.inf)),
+                  (lo, math.nextafter(lo, 0.0)), (hi, lo), (0.0, hi),
+                  (-0.0, hi), (5e-324, hi), (-5e-324, hi)]
+    pairs += [(30.0, 90.0), (30.0, math.nextafter(90.0, 0.0)),
+              (30.0, math.nextafter(90.0, 91.0)), (89.0, 90.0),
+              (0.0, 5e-324), (5e-324, 5e-324), (5e-324, 1e-300)]
+    for pair in pairs:
+        calls.append((f"maximize_eta(ref, 'mu', {pair!r})",
+                      lambda p=pair: api.maximize_eta(cfg, "mu", p)))
+        calls.append((f"maximize_eta(tiny, 'rp', {pair!r})",
+                      lambda p=pair: api.maximize_eta(tiny, "rp", p)))
+        calls.append((f"OptResult(bracket={pair!r})",
+                      lambda p=pair: api.OptResult("xi", 1.0, 0.5, p, 3,
+                                                   False)))
+        calls.append((f"phase_match_angle(0.415, {pair!r})",
+                      lambda p=pair: api.phase_match_angle(bbo, 0.415, p)))
+    for variable in ("L", "MU", None, ("mu",)):
+        calls.append((f"maximize_eta(ref, {variable!r}, (1.0, 2.0))",
+                      lambda v=variable: api.maximize_eta(cfg, v, (1.0, 2.0))))
+        calls.append((f"OptResult(variable={variable!r})",
+                      lambda v=variable: api.OptResult(v, 1.0, 0.5, (1.0, 2.0),
+                                                       3, False)))
+    return calls
+
+
 # command lines: numbers a draw may put in a numeric flag, grid sizes for
 # --n-tau and --n-trans (small, so that no draw allocates much), and the
 # optional flags a draw may add with a sane value (params takes only the
@@ -732,7 +801,7 @@ def dump(checkout: Path, out: Path) -> None:
                  + int_calls(api) + sellmeier_domain_calls(api)
                  + xi_range_calls(api) + sellmeier_overflow_calls(api)
                  + number_rule_calls(api) + design_study_calls(api)
-                 + cli_calls(tmp))
+                 + cli_calls(tmp) + count_and_pair_calls(api))
         record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
