@@ -31,6 +31,7 @@ from .core import (
     VARIABLES,
     ExperimentConfig,
     WalkOffSet,
+    _require_pair,
     compute_alpha_beta,
     efficiency,
     magnification,
@@ -354,10 +355,11 @@ def _cmd_sweep(args, doc: dict) -> int:
 def _cmd_optimize(args, doc: dict) -> int:
     from .sweep import maximize_eta
 
-    lo, hi = _parse_numbers(args.bounds, "--bounds", "lo:hi")
-    if lo <= 0.0 or hi <= lo:
-        raise UsageError(
-            f"--bounds must satisfy 0 < lo < hi for {args.var}, got {args.bounds!r}")
+    try:  # core's order for maximize_eta's bounds, as a usage error
+        lo, hi = _require_pair("--bounds", _parse_numbers(
+            args.bounds, "--bounds", "lo:hi"), "0 < lo < hi")
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     optional = {"mu": ("mu",), "xi": ("mu", "w_um"), "rp": ("rp_um",)}[args.var]
     cfg = _resolve_experiment(args, doc, optional=optional)[0]
     res = maximize_eta(cfg, args.var, (lo, hi))
@@ -487,7 +489,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_quadrature_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-tau", dest="n_tau", type=int,
-                        help="Gauss-Legendre points along the crystal")
+                        help="Gauss-Legendre points per depth integral, "
+                             "each on its own range within the crystal")
     parser.add_argument("--n-trans", dest="n_trans", type=int,
                         help="transverse trapezoid points per axis")
     parser.add_argument("--extent-factor", dest="extent_factor", type=float,

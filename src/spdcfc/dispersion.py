@@ -64,9 +64,7 @@ class IndexModel:
                            ("range_um", 2)):
             object.__setattr__(self, name,
                                _numbers(name, getattr(self, name), size))
-        lo, hi = self.range_um
-        if not 0.0 < lo < hi:
-            raise DomainError(f"invalid validity range [{lo}, {hi}]")
+        lo, hi = _require_pair("range_um", self.range_um, "0 < lo < hi")
         u_lo, u_hi = lo * lo, hi * hi
         for name in ("ordinary", "extraordinary"):
             c0, c1, c2, c3 = getattr(self, name)

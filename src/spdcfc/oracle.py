@@ -21,13 +21,17 @@ plane), the pump-offset vector, and their per-arm combinations.  Only
 their magnitudes enter, so each 2-D integral factorizes into one shifted
 axis and one unshifted axis, both integrated on the same grid here.
 
-Quadrature: Gauss-Legendre along the crystal (the emission window in
-depth is a hard box), wide trapezoid transversely.  The estimated
-relative error comes from doubling every grid.  The Gauss-Legendre rule
-is built once per size and cached.  Each product of depth-shifted
-Gaussians takes one exponential over the grid, of its combined
-quadratic exponent; the unshifted factors and the trapezoid weights
-enter the row sums as one vector.  A level's three such Gaussians
+Quadrature: Gauss-Legendre in depth (the emission window is a hard box
+at L), wide trapezoid transversely.  Each of the three depth integrals
+(the pair, and each singles arm) falls as a Gaussian exp(-g tau^2) and
+takes the rule on its own range [0, min(L, sqrt(40 / g))], past which
+its integrand is below exp(-40) of its value at the entry face; g is
+formed once per config, from the same coefficients as the kernel's.
+The estimated relative error comes from doubling every grid.  The
+Gauss-Legendre rule is built once per size and cached.  Each product of
+depth-shifted Gaussians takes one exponential over the grid, of its
+combined quadratic exponent; the unshifted factors and the trapezoid
+weights enter the row sums as one vector.  A level's three such Gaussians
 (pair, arm 1, arm 2) stack into one array per kernel pass, as many as
 fit in 1 MiB: all three while a block is at most 1/3 MiB, so each step
 of the kernel runs once per level; a pass of two and then a pass of
@@ -74,15 +78,19 @@ from .errors import ConvergenceError, DomainError
 MAX_N_TAU = 512
 MAX_GRID_POINTS = 2 ** 22  # elements of that grid, 32 MiB as float64
 
-# float64s per kernel pass, 1 MiB: the three blocks of the default
-# spec's first two levels (at most 576 KiB) stack into one pass, while
-# its third level (768 KiB per block) takes one block per pass.  A stack
-# that spills out of a core's cache costs more per entry than its
-# blocks one by one: that level fully stacked ran ~35% slower on a
-# machine with 2 MiB of L2 per core.
+# float64s per kernel pass, 1 MiB: the three blocks of each of the
+# default spec's levels (at most 516 KiB, at its third) stack into one
+# pass, while at n_tau = 64 the third level (768 KiB per block) takes
+# one block per pass.  A stack that spills out of a core's cache costs
+# more per entry than its blocks one by one: that level fully stacked
+# ran ~35% slower on a machine with 2 MiB of L2 per core.
 _PASS_ELEMENTS = 2 ** 17
 
 _TINY = 2.0 ** -1022  # the smallest normal float
+
+# A depth integral ends where its Gaussian in tau, exp(-g tau^2), has
+# fallen to exp(-40): at sqrt(40 / g).
+_DEPTH_REACH = math.sqrt(40.0)
 
 # The kernel's floor and weight scale (see above).  numpy's exp is 15-150x
 # slower per lane below ln(DBL_MIN) ~ -708.4, where its results are
@@ -95,8 +103,12 @@ _WEIGHT_SCALE = 600
 class QuadratureSpec:
     """Grid and tolerance controls for the numerical overlap integrals.
 
-    n_tau: Gauss-Legendre points along the crystal length, at most
-        MAX_N_TAU.
+    n_tau: Gauss-Legendre points per depth integral (the pair and each
+        singles arm), each on its own range [0, t] with t <= L, where
+        its integrand has fallen to exp(-40); at most MAX_N_TAU.  The
+        default 14 is the least that keeps the reference design's
+        est_rel_err below 1e-12, with the README's walk-offs and with
+        the bundled BBO ones.
     n_trans: trapezoid points per transverse axis; n_tau * n_trans is
         at most MAX_GRID_POINTS / 16, the refinements' growth.  The
         last refinement then peaks at about 8 * 16 * n_tau * n_trans
@@ -106,7 +118,7 @@ class QuadratureSpec:
     target_rel_err: refinement goal for the estimated relative error.
     """
 
-    n_tau: int = 64
+    n_tau: int = 14
     n_trans: int = 96
     extent_factor: float = 6.0
     target_rel_err: float = 1e-5
@@ -218,7 +230,8 @@ def _shifted_differences(taus: np.ndarray, x: np.ndarray,
     """x - rate * taus[:, None], built as the product [1, s] @ [[x], [-1]].
 
     rate may also be a sequence of rates: their blocks stack, in order,
-    into one (len(rate) * taus.size) x x.size matrix.  BLAS fills the
+    into one (len(rate) * n) x x.size matrix, where taus is one row of n
+    depths for every rate or one such row per rate.  BLAS fills the
     matrix faster than numpy's broadcast loop (~2.8x at 128x192, ~1.4x
     at 64x96).  Each entry is 1 * x_j + s_i * (-1): both products are
     exact, so with or without FMA the sum is rounded once and the
@@ -227,7 +240,7 @@ def _shifted_differences(taus: np.ndarray, x: np.ndarray,
     import numpy as np
 
     rates = np.array(rate, dtype=float).reshape(-1, 1)
-    left = np.empty((rates.shape[0], taus.size, 2))
+    left = np.empty((rates.shape[0], taus.shape[-1], 2))
     left[..., 0] = 1.0
     np.multiply(rates, taus, out=left[..., 1])
     right = np.empty((2, x.size))
@@ -239,7 +252,8 @@ def _shifted_differences(taus: np.ndarray, x: np.ndarray,
 def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
                 rates: tuple[float, ...], vecs: np.ndarray) -> np.ndarray:
     """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau,
-    for each block (coef, rate, vec); shape (len(coefs), taus.size).
+    for each block (coef, rate, vec); shape (len(coefs), n), where taus is
+    one row of n depths for every block or one such row per block.
 
     The oracle's one 2-D kernel.  Blocks stack into one array per pass,
     as many as fit _PASS_ELEMENTS (at least one), and each step runs
@@ -260,16 +274,20 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     # a block's largest |x - rate tau| is width + rate tau on the oracle's
     # grids: x symmetric, taus ascending, rates >= 0 (a block misjudged
     # elsewhere is only slower, or floored where it need not be)
-    width, depth = x.item(-1), taus.item(-1)
-    floors = [(k, _first_floored_row(taus, width, coef, rate))
-              for k, (coef, rate) in enumerate(zip(coefs, rates))
+    if taus.ndim == 1:  # one row of depths for every block
+        taus = taus[None].repeat(len(coefs), axis=0)
+    n_tau = taus.shape[1]
+    width = x.item(-1)
+    floors = [(k, _first_floored_row(taus[k], width, coef, rate))
+              for k, (depth, coef, rate)
+              in enumerate(zip(taus[:, -1].tolist(), coefs, rates))
               if coef * (width + rate * depth) ** 2 > -_EXP_FLOOR]
-    per_pass = max(1, _PASS_ELEMENTS // (taus.size * x.size))
-    sums = np.empty((len(coefs), taus.size, 1))
+    per_pass = max(1, _PASS_ELEMENTS // (n_tau * x.size))
+    sums = np.empty((len(coefs), n_tau, 1))
     for first in range(0, len(coefs), per_pass):
         last = first + per_pass
-        rows = _shifted_differences(taus, x, rates[first:last]).reshape(
-            -1, taus.size, x.size)
+        rows = _shifted_differences(taus[first:last], x, rates[first:last])
+        rows = rows.reshape(-1, n_tau, x.size)
         rows *= rows
         rows *= np.negative(coefs[first:last])[:, None, None]
         if floors:  # each floored block's rows from its first floored one
@@ -317,22 +335,21 @@ def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
                       "um are outside the range the quadrature can represent")
 
 
-def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
-               extent_factor: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-depth densities of the pair and both singles arms, from one
-    call of the kernel, on the transverse grid of n_trans points.
+@functools.lru_cache(maxsize=1)
+def _gaussians(cfg: ExperimentConfig) -> tuple:
+    """cfg's Gaussian coefficients and depth ranges, shared by its levels.
 
-    Returns the pair overlap density at each birth depth (idle axis
-    included); the singles' row sums of arm 1 and arm 2, shape
-    (2, taus.size); and the singles' idle axis, which multiplies both
-    arms' rows.
+    Returns (a, b, norm_sq, coef, rate, decay, arm1, arm2, half_depths):
+    the fiber mode's and the pump's coefficients and the mode's norm
+    squared (_exponent_coefs), the pair block's coefficient, drift rate
+    and decay, the arms' drift rates, and half of each _depth_ranges
+    entry, as a read-only column.  The last config's are kept, so an
+    eta_numeric call forms them once for all its levels.
     """
     import numpy as np
 
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
     a, b, norm_sq = _exponent_coefs(cfg)  # refuses widths before the grid
-    x, tw = _transverse_grid(cfg, n_trans, extent_factor)
-    length = cfg.crystal_length
     # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
     # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
     # exponent a (x - pair_sep tau)^2 + b (x - c tau)^2 is
@@ -341,6 +358,53 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
+    half_depths = 0.5 * np.array(_depth_ranges(cfg))[:, None]
+    half_depths.flags.writeable = False
+    return a, b, norm_sq, coef, rate, decay, arm1, arm2, half_depths
+
+
+def _depth_ranges(cfg: ExperimentConfig) -> tuple[float, float, float]:
+    """The depth t that each integral spans, [0, t]: pair, arm 1, arm 2.
+
+    Completing the square in x over the whole axis, the pair density
+    squared falls as exp(-g tau^2) with g = 2 (decay + a coef rate^2 /
+    (a + coef)), and an arm's row with g = 2 a b arm^2 / (a + b).  In the
+    widths W = w mu and R = r_p, sqrt(g) is hypot(s R/W, c, s - c) /
+    hypot(sqrt(2) R, W) for the pair (s = pair_sep, c as in _gaussians)
+    and arm / hypot(R, W) for an arm.  Formed so, from the ratio R/W and
+    no square of a width, t = min(L, sqrt(40 / g)) scales with the
+    lengths.  Past t the integrand is below exp(-40) of its value at the
+    entry face; a zero g keeps the whole crystal.
+    """
+    pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
+    radius = cfg.fiber_mode_radius * cfg.inverse_magnification
+    waist = cfg.pump_waist
+    c = 0.5 * (pair_sep + pump_off2)
+    arm_width = math.hypot(waist, radius)
+    spans = ((math.hypot(math.sqrt(2.0) * waist, radius),
+              math.hypot(pair_sep * (waist / radius), c, pair_sep - c)),
+             (arm_width, arm1), (arm_width, arm2))
+    length = cfg.crystal_length
+    return tuple(min(length, _DEPTH_REACH * width / drift) if drift else length
+                 for width, drift in spans)
+
+
+def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
+               extent_factor: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-depth densities of the pair and both singles arms, from one
+    call of the kernel, on the transverse grid of n_trans points.
+
+    taus holds n birth depths for every integral, or one row of n for
+    each: pair, arm 1, arm 2.  Returns the pair overlap density at its
+    depths (idle axis included); the singles' row sums of arm 1 and arm
+    2, shape (2, n); and the singles' idle axis, which multiplies both
+    arms' rows.
+    """
+    import numpy as np
+
+    a, b, norm_sq, coef, rate, decay, arm1, arm2, _ = _gaussians(cfg)
+    x, tw = _transverse_grid(cfg, n_trans, extent_factor)
+    length = cfg.crystal_length
     # the kernel squares x - rate tau, with |x| up to the half-width and
     # tau up to L: refused where that square would overflow
     reach = float(x[-1]) + max(rate, arm1, arm2) * length
@@ -368,7 +432,11 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
                        (rate, arm1, arm2), vecs)
     sums *= unscale
     # a zero decay's factor is exactly 1, but NaN once tau^2 overflows
-    pair = np.exp(-decay * (taus * taus)) * sums[0] if decay else sums[0]
+    if decay:
+        pair_taus = taus if taus.ndim == 1 else taus[0]
+        pair = np.exp(-decay * (pair_taus * pair_taus)) * sums[0]
+    else:
+        pair = sums[0]
     return pair * (pair_idle * unscale), sums[1:], singles_idle * unscale
 
 
@@ -391,14 +459,17 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
 
 def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
                  extent_factor: float) -> tuple[float, float, float, float]:
-    """One full quadrature pass; returns (eta, p12, p1, p2)."""
+    """One full quadrature pass; returns (eta, p12, p1, p2).
+
+    Each integral takes the n_tau point rule on its own depth range.
+    """
     nodes, gl_weights = _gauss_legendre(n_tau)
-    length = cfg.crystal_length
-    taus = 0.5 * length * (nodes + 1.0)
-    tau_w = 0.5 * length * gl_weights
+    half_depths = _gaussians(cfg)[-1]
+    taus = half_depths * (nodes + 1.0)
+    tau_w = half_depths * gl_weights
     pair, singles, idle = _densities(cfg, taus, n_trans, extent_factor)
-    p12 = float((tau_w * pair ** 2).sum())
-    p1, p2 = (tau_w * singles * idle).sum(axis=1).tolist()
+    p12 = float((tau_w[0] * pair ** 2).sum())
+    p1, p2 = (tau_w[1:] * singles * idle).sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
 
 

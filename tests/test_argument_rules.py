@@ -6,16 +6,19 @@ A count is an int or what operator.index reads as one (a numpy
 integer), stored as an int; a bool, Python's or numpy's, is not a
 count.  An ordered pair is checked against one order of core's
 _ORDERS, each order here at its edge and one float past it, through
-the public function that uses it.
+the public function that uses it; the CLI's --bounds takes the same
+order and reports its refusal as a usage error.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spdcfc import (ExperimentConfig, OptResult, QuadratureSpec, bundled_bbo,
                     maximize_eta, phase_match_angle)
+from spdcfc.cli import main
 from spdcfc.errors import DomainError
 
 from conftest import REFERENCE_WALKOFFS, reference_config
@@ -40,7 +43,7 @@ def opt_result(iterations=20, bracket=(0.5, 2.0), variable="mu"):
 @pytest.mark.parametrize("kind", NUMPY_INTS, ids=lambda k: k.__name__)
 def test_a_numpy_integer_is_a_count_stored_as_an_int(kind):
     spec = QuadratureSpec(n_tau=kind(64), n_trans=kind(96))
-    assert spec == QuadratureSpec()
+    assert spec == QuadratureSpec(n_tau=64, n_trans=96)
     assert type(spec.n_tau) is int and type(spec.n_trans) is int
     res = opt_result(iterations=kind(3))
     assert res.iterations == 3 and type(res.iterations) is int
@@ -115,6 +118,40 @@ def test_a_phase_match_bracket_satisfies_0_lt_lo_lt_hi_lt_90(refused, taken):
         f"bracket_deg must satisfy 0 < lo < hi < 90, got {refused}")
     assert phase_match_angle(model, 0.415, taken) == pytest.approx(
         phase_match_angle(model, 0.415), abs=1e-6)
+
+
+@pytest.mark.parametrize("refused, taken", [
+    ((2.0, 0.2), (0.2, 2.0)),
+    ((0.3, 0.3), (0.3, math.nextafter(0.3, 1.0))),
+    ((0.0, 1.0), (0.3, 1.0)),
+], ids=["reversed", "lo-below-hi", "lo-above-0"])
+def test_an_index_model_range_satisfies_0_lt_lo_lt_hi(refused, taken):
+    model = bundled_bbo()
+    assert refusal(lambda: replace(model, range_um=refused)) == (
+        f"range_um must satisfy 0 < lo < hi, got {refused}")
+    if taken[0] > model.range_um[0]:  # no Sellmeier pole inside
+        assert replace(model, range_um=taken).range_um == taken
+
+
+@pytest.mark.parametrize("values, message", [
+    ((0.2, math.nan), "range_um[1] must be finite, got nan"),
+    ((0.2,), "range_um must be a list of 2 numbers, got (0.2,)"),
+], ids=["nan", "one-item"])
+def test_an_index_model_range_keeps_its_per_item_messages(values, message):
+    assert refusal(lambda: replace(bundled_bbo(), range_um=values)) == message
+
+
+@pytest.mark.parametrize("bounds, shown", [
+    ("0:10", "(0.0, 10.0)"), ("5:1", "(5.0, 1.0)"), ("2:2", "(2.0, 2.0)")])
+def test_cli_bounds_take_the_pair_rule_as_a_usage_error(bounds, shown,
+                                                        capsys):
+    code = main(["optimize", "--var", "xi", "--bounds", bounds, "--L-mm",
+                 "2", "--rp-um", "53", "--Mp", "0.07631", "--M", "0.07243",
+                 "--QK", "0.036215"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"usage error: --bounds must satisfy 0 < lo < hi, got {shown}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def test_malformed_config_values_are_usage_errors(command, doc, capsys,
 def test_whole_float_grid_sizes_and_null_entries_are_accepted(capsys,
                                                              tmp_path):
     base = ["oracle", "--L-mm", "3", *REFERENCE_FLAGS]
-    expected = run_cli(base, capsys)
+    expected = run_cli([*base, "--n-tau", "64", "--n-trans", "96"], capsys)
     doc = {**with_quadrature(n_tau=64.0, n_trans=96.0, extent_factor=6,
                              target_rel_err=None),
            "L_um": None, "mu": None}

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
-from spdcfc.oracle import (_EXP_FLOOR, _TINY, _drift_rates, _eta_on_grid,
-                           _exp_at_floor, _exponent_coefs, _gauss_legendre,
-                           _gauss_sums, _transverse_grid)
+from spdcfc.oracle import (_EXP_FLOOR, _TINY, _depth_ranges, _drift_rates,
+                           _eta_on_grid, _exp_at_floor, _exponent_coefs,
+                           _gauss_legendre, _gauss_sums, _transverse_grid)
 
 from conftest import REFERENCE_WALKOFFS
 
@@ -47,7 +47,8 @@ CONFIGS = {
     "L=1.7mm,xi=0.23,rp=110": design_config(1700.0, 0.23, 110.0),
 }
 
-LEVELS = [(64, 96), (128, 192), (256, 384)]  # the default spec's three
+# the three levels of n_tau = 64, then the default spec's three
+LEVELS = [(64, 96), (128, 192), (256, 384), (14, 96), (28, 192), (56, 384)]
 
 
 def plain_sums(taus, x, coef, rate, vec):
@@ -70,8 +71,10 @@ def plain_level(cfg, n_tau, n_trans, extent_factor):
     tw[0] *= 0.5
     tw[-1] *= 0.5
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_tau)
-    taus = 0.5 * cfg.crystal_length * (nodes + 1.0)
-    tau_w = 0.5 * cfg.crystal_length * gl_weights
+    # each integral takes the rule on its own depth range: pair, arm 1, arm 2
+    (taus, tau_w), *arm_rules = [
+        (0.5 * t * (nodes + 1.0), 0.5 * t * gl_weights)
+        for t in _depth_ranges(cfg)]
 
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
@@ -86,7 +89,7 @@ def plain_level(cfg, n_tau, n_trans, extent_factor):
     idle = float((mode_sq_w * np.exp(-2.0 * b * (x * x))).sum())
     p1, p2 = (float((tau_w * plain_sums(taus, x, 2.0 * b, arm, mode_sq_w)
                      * idle).sum())
-              for arm in (arm1, arm2))
+              for arm, (taus, tau_w) in zip((arm1, arm2), arm_rules))
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
 
 
@@ -138,11 +141,12 @@ def test_floor_covers_only_the_rows_that_can_reach_it():
 
 def kernel_args(cfg, n_tau, n_trans):
     """(taus, x, coefs, rates) of a level's kernel call, as _densities
-    builds them."""
+    builds them: one row of depths per block."""
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
     a, b, _ = _exponent_coefs(cfg)
     x, _ = _transverse_grid(cfg, n_trans, 6.0)
-    taus = 0.5 * cfg.crystal_length * (_gauss_legendre(n_tau)[0] + 1.0)
+    nodes = _gauss_legendre(n_tau)[0]
+    taus = np.array([0.5 * t * (nodes + 1.0) for t in _depth_ranges(cfg)])
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
     return taus, x, (coef, 2.0 * b, 2.0 * b), (rate, arm1, arm2)
@@ -161,8 +165,8 @@ def test_rows_left_unfloored_never_underflow():
     for cfg in configs:
         for n_tau, n_trans in LEVELS:
             taus, x, coefs, rates = kernel_args(cfg, n_tau, n_trans)
-            reaching += min(-c * (x[-1] + r * taus[-1]) ** 2
-                            for c, r in zip(coefs, rates)) < math.log(_TINY)
+            reaching += min(-c * (x[-1] + r * t[-1]) ** 2 for c, r, t
+                            in zip(coefs, rates, taus)) < math.log(_TINY)
             with np.errstate(under="raise"):
                 _gauss_sums(taus, x, coefs, rates, np.ones((3, x.size)))
     # the premise: many of these levels have lanes that would underflow

@@ -63,7 +63,7 @@ def test_quadrature_spec_grid_sizes_are_integers(field, value):
 
 def test_quadrature_spec_takes_numpy_integers_as_ints():
     spec = QuadratureSpec(n_tau=np.int64(64), n_trans=np.int32(96))
-    assert spec == QuadratureSpec()
+    assert spec == QuadratureSpec(n_tau=64, n_trans=96)
     assert type(spec.n_tau) is int and type(spec.n_trans) is int
 
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
-from spdcfc.oracle import (_drift_rates, _eta_on_grid, _exponent_coefs,
-                           _gauss_legendre, _gauss_sums, _transverse_grid)
+from spdcfc.oracle import (_depth_ranges, _drift_rates, _eta_on_grid,
+                           _exponent_coefs, _gauss_legendre, _gauss_sums,
+                           _transverse_grid)
 
 from conftest import REFERENCE_WALKOFFS, reference_config
 
@@ -36,10 +37,12 @@ CONFIGS = {
         inverse_magnification=20.0, walkoffs=WalkOffSet(0.05, 0.12, 0.03)),
 }
 
-# the default spec's three levels (three blocks per kernel pass, then one),
-# a level of two blocks per pass, and row counts that are not multiples of
-# 4, where a taller matrix-vector product can round a row differently
-LEVEL_SHAPES = [(64, 96), (128, 192), (256, 384), (128, 384), (13, 33), (37, 50)]
+# the three levels of n_tau = 64 (three blocks per kernel pass, then one),
+# a level of two blocks per pass, row counts that are not multiples of 4,
+# where a taller matrix-vector product can round a row differently, and
+# the default spec's three levels (three blocks per pass)
+LEVEL_SHAPES = [(64, 96), (128, 192), (256, 384), (128, 384), (13, 33),
+                (37, 50), (14, 96), (28, 192), (56, 384)]
 
 
 def unstacked_level(cfg, n_tau, n_trans, extent_factor):
@@ -53,8 +56,10 @@ def unstacked_level(cfg, n_tau, n_trans, extent_factor):
     tw[0] *= 0.5
     tw[-1] *= 0.5
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_tau)
-    taus = 0.5 * cfg.crystal_length * (nodes + 1.0)
-    tau_w = 0.5 * cfg.crystal_length * gl_weights
+    # each integral takes the rule on its own depth range: pair, arm 1, arm 2
+    (taus, tau_w), *arm_rules = [
+        (0.5 * t * (nodes + 1.0), 0.5 * t * gl_weights)
+        for t in _depth_ranges(cfg)]
 
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
@@ -69,7 +74,7 @@ def unstacked_level(cfg, n_tau, n_trans, extent_factor):
     idle = float((mode_sq_w * np.exp(-2.0 * b * (x * x))).sum())
     p1, p2 = (float((tau_w * _gauss_sums(taus, x, (2.0 * b,), (arm,),
                                          mode_sq_w[None])[0] * idle).sum())
-              for arm in (arm1, arm2))
+              for arm, (taus, tau_w) in zip((arm1, arm2), arm_rules))
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
 
 
@@ -136,7 +141,7 @@ def test_transverse_grid_is_numpys_linspace(pump_waist, n_trans):
 
 
 @pytest.mark.parametrize("n_tau, n_trans, blocks_per_pass", [
-    (64, 96, 3),     # the default spec's first level: one 144 KiB stack
+    (64, 96, 3),     # n_tau = 64's first level: one 144 KiB stack
     (128, 384, 2),   # 384 KiB blocks: two fit in a 1 MiB pass
     (256, 2048, 1),  # the last refinement of n_tau=64, n_trans=512
 ])

@@ -21,7 +21,8 @@ on bundled-BBO walk-offs over the design ranges of the benchmark's
 form), whose exit code, stdout and stderr are recorded with the
 temporary directory's path replaced by ``<tmp>``, and counts given as
 numpy integers, bools and integral floats beside ordered pairs at the
-edges of their orders.  The list depends only on the seed, so a dump
+edges of their orders, and the oracle over the wide-domain probe of
+ROADMAP item 3.  The list depends only on the seed, so a dump
 of one checkout under two environments, or of two checkouts, can be
 compared entry by entry.
 
@@ -229,6 +230,27 @@ def oracle_calls(api, rng: random.Random) -> list[tuple[str, object]]:
         calls.append((f"eta_numeric(ref, extent_factor={ext!r})",
                       lambda e=ext: api.eta_numeric(
                           ref, api.QuadratureSpec(extent_factor=e))))
+    return calls
+
+
+def oracle_probe_calls(api) -> list[tuple[str, object]]:
+    # eta_numeric and est_rel_err, or the exception, at 200 configs of
+    # ROADMAP item 3's wide-domain probe (log-uniform L in [10 um, 10 cm],
+    # r_p in [3, 1000] um, w in [1, 10] um, mu in [1, 1000]; walk-offs
+    # uniform in [0, 0.2]); their own stream, run last, so every call
+    # above keeps its outcome
+    rng = random.Random(f"{SEED}:oracle-probe")
+    calls = []
+    for _ in range(200):
+        args = (log_uniform(rng, 10.0, 1e5), log_uniform(rng, 3.0, 1000.0),
+                log_uniform(rng, 1.0, 10.0), log_uniform(rng, 1.0, 1000.0),
+                tuple(rng.uniform(0.0, 0.2) for _ in range(3)))
+
+        def call(a=args):
+            res = api.eta_numeric(api.ExperimentConfig(*a[:4],
+                                                       api.WalkOffSet(*a[4])))
+            return res.eta_numeric, res.est_rel_err
+        calls.append((f"eta_numeric{args!r}, probe", call))
     return calls
 
 
@@ -801,7 +823,8 @@ def dump(checkout: Path, out: Path) -> None:
                  + int_calls(api) + sellmeier_domain_calls(api)
                  + xi_range_calls(api) + sellmeier_overflow_calls(api)
                  + number_rule_calls(api) + design_study_calls(api)
-                 + cli_calls(tmp) + count_and_pair_calls(api))
+                 + cli_calls(tmp) + count_and_pair_calls(api)
+                 + oracle_probe_calls(api))
         record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
