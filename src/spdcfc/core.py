@@ -178,7 +178,9 @@ def _check_fields(obj, names: tuple[str, ...], rule: str) -> None:
 # "<name> must be <range>, got <value>" outside the range.  An ordered
 # pair (lo, hi) passes _require_pair: each item through _require_finite,
 # then the one order of _ORDERS it names, refused as "<name> must
-# satisfy <order>, got (<lo>, <hi>)".  A count passes _require_count: an
+# satisfy <order>, got (<lo>, <hi>)".  A list of a fixed size passes
+# _require_numbers: a list or tuple of that size, item k through
+# _require_finite as "<name>[k]".  A count passes _require_count: an
 # int, or what operator.index reads as one (a numpy integer), stored as
 # an int; never a bool, Python's or numpy's.
 _RANGES = {
@@ -230,6 +232,15 @@ def _require_pair(name: str, values, order: str) -> tuple[float, float]:
     if not _ORDERS[order](lo, hi):
         raise DomainError(f"{name} must satisfy {order}, got ({lo}, {hi})")
     return lo, hi
+
+
+def _require_numbers(name: str, values, size: int) -> tuple[float, ...]:
+    # a list or tuple of size numbers, each through the number rule
+    if not isinstance(values, (list, tuple)) or len(values) != size:
+        raise DomainError(
+            f"{name} must be a list of {size} numbers, got {values!r:.60}")
+    return tuple(_require_finite(f"{name}[{k}]", v)
+                 for k, v in enumerate(values))
 
 
 def _require_count(name: str, value, least: int) -> int:

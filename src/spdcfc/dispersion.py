@@ -33,7 +33,8 @@ from pathlib import Path
 
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
 from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _check_fields,
-                   _require_finite, _require_in, _require_pair)
+                   _require_finite, _require_in, _require_numbers,
+                   _require_pair)
 from .errors import DomainError, WavelengthRangeError
 
 # Width at which the phase-matching bisection stops.  Far above the float
@@ -62,8 +63,8 @@ class IndexModel:
     def __post_init__(self):
         for name, size in (("ordinary", 4), ("extraordinary", 4),
                            ("range_um", 2)):
-            object.__setattr__(self, name,
-                               _numbers(name, getattr(self, name), size))
+            object.__setattr__(self, name, _require_numbers(
+                name, getattr(self, name), size))
         lo, hi = _require_pair("range_um", self.range_um, "0 < lo < hi")
         u_lo, u_hi = lo * lo, hi * hi
         for name in ("ordinary", "extraordinary"):
@@ -135,15 +136,6 @@ def _least(sign: float, u_lo: float, u_hi: float,
         points += [c / q] if q else []
     return min((((k3 * u + k2) * u + k1) * u + k0, u)
                for u in points if u_lo <= u <= u_hi)
-
-
-def _numbers(name: str, values, size: int) -> tuple[float, ...]:
-    # a list or tuple of size numbers, each through core's rule
-    if not isinstance(values, (list, tuple)) or len(values) != size:
-        raise DomainError(
-            f"{name} must be a list of {size} numbers, got {values!r:.60}")
-    return tuple(_require_finite(f"{name}[{k}]", v)
-                 for k, v in enumerate(values))
 
 
 def _sellmeier1(coeffs: tuple[float, ...], lam: float) -> float:
@@ -401,8 +393,10 @@ def _model_from_doc(doc: dict, origin: str) -> IndexModel:
     # checks the rest
     try:
         o, e = doc["ordinary"], doc["extraordinary"]
-        o_lo, o_hi = _numbers("ordinary.range_um", o["range_um"], 2)
-        e_lo, e_hi = _numbers("extraordinary.range_um", e["range_um"], 2)
+        o_lo, o_hi = _require_numbers("ordinary.range_um",
+                                      o["range_um"], 2)
+        e_lo, e_hi = _require_numbers("extraordinary.range_um",
+                                      e["range_um"], 2)
         fields = dict(material=doc["material"], ordinary=o["coeffs"],
                       extraordinary=e["coeffs"],
                       range_um=(max(o_lo, e_lo), min(o_hi, e_hi)),

@@ -40,21 +40,9 @@ pass beyond that.  The shifted differences (exact) and the row sums
 are BLAS matrix products, and the row sums add in the BLAS build's
 order: results are deterministic for a fixed QuadratureSpec on one
 numpy/BLAS build, and the tests check that they do not depend on the
-number of BLAS threads.  Two CPU slow paths are kept out of the kernel
-without moving its results.  In a block that can reach an exponent
-below -707, the rows from the first tau whose lowest exponent can fall
-below it (one row early, against rounding) are raised to -707 before
-exp and have exp(-707) subtracted after it, so their dead lanes end
-exactly 0 on exp's fast path instead of its per-lane path for subnormal
-results; in those rows lanes above about -670 keep their bits, and
-those between move by at most exp(-707) ~ 1e-307.  The rows before
-them, and every row of a block that cannot reach -707, keep numpy's exp
-bits.  The weights carry an exact 2**600 (less where a row sum could
-reach 2**1000), and the row sums and idle integrals are scaled back: products
-that would be subnormal are normal, so BLAS needs no microcode assists,
-and as a power of two commutes with every rounding among normal floats,
-only a row sum below about 2**-960 can move.  The tests check levels
-where both act bit for bit against plain numpy.
+number of BLAS threads.  Lanes far off design, whose exponent falls
+below ln(DBL_MIN) ~ -708.4, take numpy's slower per-lane exp; a
+transverse grid centred on each depth row would leave none.
 
 numpy is imported inside the functions that integrate, so importing
 this module (and the package) does not load it; only a quadrature does.
@@ -67,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (ExperimentConfig, WalkOffSet, _check_fields, _require_count,
-                   _require_finite)
+                   _require_finite, _require_numbers)
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -91,12 +79,6 @@ _TINY = 2.0 ** -1022  # the smallest normal float
 # A depth integral ends where its Gaussian in tau, exp(-g tau^2), has
 # fallen to exp(-40): at sqrt(40 / g).
 _DEPTH_REACH = math.sqrt(40.0)
-
-# The kernel's floor and weight scale (see above).  numpy's exp is 15-150x
-# slower per lane below ln(DBL_MIN) ~ -708.4, where its results are
-# subnormal or 0; exp(-707) is still normal.
-_EXP_FLOOR = -707.0
-_WEIGHT_SCALE = 600
 
 
 @dataclass(frozen=True)
@@ -142,7 +124,9 @@ class OracleResult:
     """Quadrature efficiency with its refinement-based error estimate.
 
     pieces holds the unnormalized probability integrals
-    (pair, singles arm 1, singles arm 2).
+    (pair, singles arm 1, singles arm 2).  Each field is read by core's
+    number rule and stored as floats: est_rel_err >= 0, pieces three
+    numbers > 0, and eta_numeric in (0, 1 + est_rel_err].
     """
 
     eta_numeric: float
@@ -150,6 +134,9 @@ class OracleResult:
     pieces: tuple[float, float, float]
 
     def __post_init__(self):
+        _check_fields(self, ("eta_numeric", "est_rel_err"), ">= 0")
+        object.__setattr__(self, "pieces",
+                           _require_numbers("pieces", self.pieces, 3))
         p12, p1, p2 = self.pieces
         if not (p12 > 0.0 and p1 > 0.0 and p2 > 0.0):
             raise DomainError(f"probability integrals must be > 0: {self.pieces}")
@@ -169,16 +156,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-@functools.lru_cache(maxsize=1)
-def _exp_at_floor() -> float:
-    # exp(_EXP_FLOOR) from numpy's array loop, which the kernel's exp
-    # runs, so that floored lanes minus it are exactly 0; 64 lanes, so a
-    # vector loop gives it from its full-width body, as for the kernel
-    import numpy as np
-
-    return float(np.exp(np.full(64, _EXP_FLOOR))[0])
 
 
 @functools.lru_cache(maxsize=3)
@@ -260,28 +237,15 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     once per pass, in place (a fresh 2-D temporary per step costs more
     than its arithmetic).  The square stays a square of the exact
     difference, since expanding it cancels near the Gaussian's peak.
-    In a block that can reach an exponent below _EXP_FLOOR, the rows
-    from _first_floored_row on are raised to the floor and have
-    exp(_EXP_FLOOR) subtracted after exp: their dead lanes come out
-    exactly 0 on exp's fast path.  The rows before them, and the blocks
-    that cannot reach the floor, keep numpy's exp bits; a pass with no
-    such block runs no floor step at all.  The row sums are one
-    matrix-vector product per block: a block's rows summed inside a
-    taller product can round differently.
+    Lanes whose exponent falls below ln(DBL_MIN) take numpy's slower
+    per-lane exp.  The row sums are one matrix-vector product per block:
+    a block's rows summed inside a taller product can round differently.
     """
     import numpy as np
 
-    # a block's largest |x - rate tau| is width + rate tau on the oracle's
-    # grids: x symmetric, taus ascending, rates >= 0 (a block misjudged
-    # elsewhere is only slower, or floored where it need not be)
     if taus.ndim == 1:  # one row of depths for every block
         taus = taus[None].repeat(len(coefs), axis=0)
     n_tau = taus.shape[1]
-    width = x.item(-1)
-    floors = [(k, _first_floored_row(taus[k], width, coef, rate))
-              for k, (depth, coef, rate)
-              in enumerate(zip(taus[:, -1].tolist(), coefs, rates))
-              if coef * (width + rate * depth) ** 2 > -_EXP_FLOOR]
     per_pass = max(1, _PASS_ELEMENTS // (n_tau * x.size))
     sums = np.empty((len(coefs), n_tau, 1))
     for first in range(0, len(coefs), per_pass):
@@ -290,32 +254,10 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
         rows = rows.reshape(-1, n_tau, x.size)
         rows *= rows
         rows *= np.negative(coefs[first:last])[:, None, None]
-        if floors:  # each floored block's rows from its first floored one
-            tails = [rows[k - first, start:] for k, start in floors
-                     if first <= k < last]
-            for tail in tails:
-                np.maximum(tail, _EXP_FLOOR, out=tail)
         np.exp(rows, out=rows)
-        if floors:
-            for tail in tails:
-                tail -= _exp_at_floor()
-            del tails
         np.matmul(rows, vecs[first:last, :, None], out=sums[first:last])
         del rows  # before the next pass allocates its own
     return sums[..., 0]
-
-
-def _first_floored_row(taus: np.ndarray, width: float, coef: float,
-                       rate: float) -> int:
-    # the first row whose lowest exponent -coef (width + rate tau)^2 can
-    # fall below _EXP_FLOOR: it falls with tau, so every later row can
-    # too; one row early against rounding, and row 0 where rate <= 0
-    # (rate 0 gives every row the same exponents, and a negative rate
-    # breaks the width + rate tau bound)
-    if rate <= 0.0:
-        return 0
-    tau = (math.sqrt(-_EXP_FLOOR / coef) - width) / rate
-    return max(0, int(taus.searchsorted(tau)) - 1)
 
 
 def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -415,29 +357,22 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
     if decay and length * length == math.inf:
         raise DomainError(f"crystal length L = {length} um is outside the "
                           "range the quadrature can represent")
-    # the weights carry 2**scale, with each row sum and idle integral
-    # (at most norm_sq * step * n_trans) kept below 2**1000
-    scale = min(_WEIGHT_SCALE,
-                1000 - math.frexp(norm_sq * tw.item(1) * n_trans)[1])
-    unscale = 2.0 ** -scale
     # the unshifted Gaussians: the mode, the pair block's weight, and
     # mode^2 twice, one weight per arm block (each normalized and with
     # the trapezoid weights); then the pair's idle axis and pump^2
     flat = np.exp(np.multiply.outer(
         (-a, -2.0 * a, -2.0 * a, -coef, -2.0 * b), x * x))
-    vecs = flat[:3] * math.ldexp(norm_sq, scale)
-    vecs *= tw
+    vecs = flat[:3] * norm_sq * tw
     pair_idle, singles_idle = (vecs[:2] * flat[3:]).sum(axis=1).tolist()
     sums = _gauss_sums(taus, x, (coef, 2.0 * b, 2.0 * b),
                        (rate, arm1, arm2), vecs)
-    sums *= unscale
     # a zero decay's factor is exactly 1, but NaN once tau^2 overflows
     if decay:
         pair_taus = taus if taus.ndim == 1 else taus[0]
         pair = np.exp(-decay * (pair_taus * pair_taus)) * sums[0]
     else:
         pair = sums[0]
-    return pair * (pair_idle * unscale), sums[1:], singles_idle * unscale
+    return pair * pair_idle, sums[1:], singles_idle
 
 
 def pair_overlap_density(cfg: ExperimentConfig, tau: float,

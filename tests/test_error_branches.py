@@ -154,6 +154,28 @@ def test_oracle_result_rejects_a_zero_or_negative_piece(pieces):
         OracleResult(eta_numeric=0.5, est_rel_err=1e-6, pieces=pieces)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.5, -0.5, (1.0, 1.0, 1.0)), "est_rel_err must be >= 0, got -0.5"),
+    ((0.5, math.nan, (1.0, 1.0, 1.0)), "est_rel_err must be finite, got nan"),
+    ((0.5, 0.1, (1.0, math.inf, 1.0)), "pieces[1] must be finite, got inf"),
+    ((0.5, 0.1, (1.0, 1.0)),
+     "pieces must be a list of 3 numbers, got (1.0, 1.0)"),
+    ((0.5, 0.1, None), "pieces must be a list of 3 numbers, got None"),
+    (("0.5", 0.1, (1.0, 1.0, 1.0)), "eta_numeric must be a number, got '0.5'"),
+])
+def test_oracle_result_reads_its_fields_by_the_number_rule(args, message):
+    with pytest.raises(DomainError) as exc:
+        OracleResult(*args)
+    assert str(exc.value) == message
+
+
+def test_oracle_result_stores_floats():
+    result = OracleResult(1, 0, [1, 2, 3])
+    assert result == OracleResult(1.0, 0.0, (1.0, 2.0, 3.0))
+    assert all(type(v) is float for v in (result.eta_numeric,
+                                          result.est_rel_err, *result.pieces))
+
+
 def test_oracle_result_rejects_eta_past_one_plus_its_error():
     OracleResult(eta_numeric=1.0 + 1e-6, est_rel_err=1e-6,
                  pieces=(1.0, 1.0, 1.0))  # within the slack: accepted

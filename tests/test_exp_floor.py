@@ -1,27 +1,22 @@
-"""The oracle kernel's exp floor and weight scale keep a level's bits.
+"""The oracle kernel is plain numpy: a level keeps numpy's bits.
 
-A block that can reach an exponent below the floor (-707) has the rows
-that can reach it raised to the floor and exp(floor) subtracted after
-exp, so those lanes come out exactly 0 instead of subnormal or 0 through
-numpy's slow path; the rows before them keep numpy's exp bits.
-The weights carry an exact power of two, so that products which were
-subnormal are normal, and the row sums are scaled back.  Neither may move
-a returned value: each level below must equal a plain-numpy level, with
-no floor and unscaled weights, bit for bit.  The configurations are the
-ones where both act: far from xi = 1 at the 3 mm reference design, a wide
-domain point, and the ends of the xi range of the design region.
+Each kernel pass is the exact difference, square, product, numpy's exp
+and a BLAS matrix-vector product per block, with no floor on the
+exponents and no scale on the weights.  So each level below must equal
+a plain-numpy level bit for bit, and lanes whose exponent falls below
+ln(DBL_MIN) ~ -708.4 keep numpy's subnormal results.  The configurations
+are far from xi = 1 at the 3 mm reference design, a wide domain point,
+and the ends of the xi range of the design region.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
-from spdcfc.oracle import (_EXP_FLOOR, _TINY, _depth_ranges, _drift_rates,
-                           _eta_on_grid, _exp_at_floor, _exponent_coefs,
-                           _gauss_legendre, _gauss_sums, _transverse_grid)
+from spdcfc.oracle import (_TINY, _depth_ranges, _drift_rates, _eta_on_grid,
+                           _exponent_coefs, _gauss_sums)
 
 from conftest import REFERENCE_WALKOFFS
 
@@ -43,7 +38,6 @@ CONFIGS = {
     "L=4.8mm,xi=0.21": design_config(4800.0, 0.21, 40.0),
     "L=4.8mm,xi=4.7": design_config(4800.0, 4.7, 110.0),
     "L=1.7mm,xi=0.23": design_config(1700.0, 0.23, 40.0),
-    # the scale acts here, the floor does not
     "L=1.7mm,xi=0.23,rp=110": design_config(1700.0, 0.23, 110.0),
 }
 
@@ -52,7 +46,7 @@ LEVELS = [(64, 96), (128, 192), (256, 384), (14, 96), (28, 192), (56, 384)]
 
 
 def plain_sums(taus, x, coef, rate, vec):
-    """Row sums of vec * exp(-coef * (x - rate * tau)**2): no floor."""
+    """Row sums of vec * exp(-coef * (x - rate * tau)**2), one block."""
     lanes = x - (rate * taus)[:, None]
     lanes *= lanes
     lanes *= -coef
@@ -61,7 +55,7 @@ def plain_sums(taus, x, coef, rate, vec):
 
 
 def plain_level(cfg, n_tau, n_trans, extent_factor):
-    """One level on np.linspace's grid with unscaled weights."""
+    """One level on np.linspace's grid, one block per kernel."""
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
     a, b, norm_sq = _exponent_coefs(cfg)
     half_width = extent_factor * max(
@@ -102,72 +96,22 @@ def test_level_equals_plain_numpy_bit_for_bit(name, n_tau, n_trans):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def test_lanes_below_the_floor_sum_to_exactly_zero():
-    # exponents in [-740, -718], where exp is subnormal: without the floor
-    # this row sums to a tiny number, not to 0
+def test_lanes_below_ln_dbl_min_keep_numpys_subnormal_bits():
+    # exponents in [-740, -718], where exp is subnormal or 0: the row sums
+    # to a subnormal number, not to 0
     x = np.linspace(-0.2, 0.2, 16)
     ones = np.ones(x.size)
     dead = np.array([27.0])
-    assert -(27.0 + 0.2) ** 2 <= -(27.0 - 0.2) ** 2 < _EXP_FLOOR
-    assert 0.0 < plain_sums(dead, x, 1.0, 1.0, ones)[0] < 1e-300
+    assert -(27.0 + 0.2) ** 2 <= -(27.0 - 0.2) ** 2 < math.log(_TINY)
+    want = plain_sums(dead, x, 1.0, 1.0, ones)[0]
+    assert 0.0 < want < _TINY
     # a dead block stacked in a pass with a live one, and a dead row after
-    # a live one in a block: the live row sums keep their bits
+    # a live one in a block
     live = plain_sums(dead, x, 1.0, 0.0, ones)[0]
-    assert _gauss_sums(dead, x, (1.0, 1.0), (0.0, 1.0),
-                       np.ones((2, x.size))).tolist() == [[live], [0.0]]
+    got = _gauss_sums(dead, x, (1.0, 1.0), (0.0, 1.0), np.ones((2, x.size)))
+    assert [v.hex() for v in got.ravel()] == [live.hex(), want.hex()]
     taus = np.array([0.0, 27.0])
-    live = plain_sums(taus, x, 1.0, 1.0, ones)[0]
-    assert _gauss_sums(taus, x, (1.0,), (1.0,),
-                       ones[None]).tolist() == [[live, 0.0]]
-
-
-def test_floor_covers_only_the_rows_that_can_reach_it():
-    # one block drifts at rate 1 into the floor, one stays at rate 0
-    x = np.linspace(-0.01, 0.01, 16)
-    ones = np.ones(x.size)
-    taus = np.array([0.0, 26.50, 26.55, 26.60, 27.0])
-    assert -(26.50 + 0.01) ** 2 > _EXP_FLOOR  # ~ -702.8, above the floor
-    assert -(26.60 - 0.01) ** 2 < _EXP_FLOOR  # every lane below it
-    got = _gauss_sums(taus, x, (1.0, 1.0), (1.0, 0.0), np.ones((2, x.size)))
-    plain = plain_sums(taus, x, 1.0, 1.0, ones)
-    # the rows before the floor keep numpy's bits: a floor over the whole
-    # block would shift row 26.50 by 16 exp(-707), 1.7523e-304 -> 1.7379e-304
-    assert got[0, :2].tolist() == plain[:2].tolist()
-    # the row floored one early against rounding moves by at most that
-    assert abs(got[0, 2] - plain[2]) <= x.size * _exp_at_floor()
-    assert got[0, 3:].tolist() == [0.0, 0.0]
-    assert got[1].tolist() == plain_sums(taus, x, 1.0, 0.0, ones).tolist()
-
-
-def kernel_args(cfg, n_tau, n_trans):
-    """(taus, x, coefs, rates) of a level's kernel call, as _densities
-    builds them: one row of depths per block."""
-    pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
-    a, b, _ = _exponent_coefs(cfg)
-    x, _ = _transverse_grid(cfg, n_trans, 6.0)
-    nodes = _gauss_legendre(n_tau)[0]
-    taus = np.array([0.5 * t * (nodes + 1.0) for t in _depth_ranges(cfg)])
-    coef = a + b
-    rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
-    return taus, x, (coef, 2.0 * b, 2.0 * b), (rate, arm1, arm2)
-
-
-def test_rows_left_unfloored_never_underflow():
-    # a row left unfloored with a lane below ln(DBL_MIN) would underflow
-    # in exp; unit weights, so the row sums cannot underflow on their own
-    rng = random.Random(20)
-    configs = list(CONFIGS.values()) + [
-        design_config(rng.uniform(100.0, 5000.0),
-                      math.exp(rng.uniform(math.log(0.2), math.log(5.0))),
-                      rng.uniform(30.0, 120.0))
-        for _ in range(40)]
-    reaching = 0
-    for cfg in configs:
-        for n_tau, n_trans in LEVELS:
-            taus, x, coefs, rates = kernel_args(cfg, n_tau, n_trans)
-            reaching += min(-c * (x[-1] + r * t[-1]) ** 2 for c, r, t
-                            in zip(coefs, rates, taus)) < math.log(_TINY)
-            with np.errstate(under="raise"):
-                _gauss_sums(taus, x, coefs, rates, np.ones((3, x.size)))
-    # the premise: many of these levels have lanes that would underflow
-    assert reaching >= 30
+    got = _gauss_sums(taus, x, (1.0,), (1.0,), ones[None])[0]
+    assert [v.hex() for v in got] == [
+        v.hex() for v in plain_sums(taus, x, 1.0, 1.0, ones)]
+    assert got[1] == want

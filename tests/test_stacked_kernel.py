@@ -88,34 +88,48 @@ def test_level_equals_separate_kernels_bit_for_bit(name, n_tau, n_trans):
     assert all(type(v) is float for v in got)
 
 
-def lowest_kernel_exponent(cfg, n_tau, n_trans, extent_factor):
-    # the level's lowest -coef * (x - rate * tau)**2 over its three blocks
+def kernel_args(cfg, n_tau, n_trans, extent_factor):
+    """(taus, x, coefs, rates) of a level's kernel call, as _densities
+    builds them: each block's depths on its own range."""
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
     a, b, _ = _exponent_coefs(cfg)
     x, _ = _transverse_grid(cfg, n_trans, extent_factor)
-    taus = 0.5 * cfg.crystal_length * (_gauss_legendre(n_tau)[0] + 1.0)
+    nodes = _gauss_legendre(n_tau)[0]
+    taus = np.array([0.5 * t * (nodes + 1.0) for t in _depth_ranges(cfg)])
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / (a + b)
-    return min(float((-coef * (x - r * taus[:, None]) ** 2).min())
-               for coef, r in ((a + b, rate), (2.0 * b, arm1), (2.0 * b, arm2)))
+    return taus, x, (a + b, 2.0 * b, 2.0 * b), (rate, arm1, arm2)
+
+
+def lowest_kernel_exponent(cfg, n_tau, n_trans, extent_factor):
+    # the level's lowest -coef * (x - rate * tau)**2 over its three blocks
+    taus, x, coefs, rates = kernel_args(cfg, n_tau, n_trans, extent_factor)
+    return min(float((-coef * (x - r * t[:, None]) ** 2).min())
+               for coef, r, t in zip(coefs, rates, taus))
 
 
 @pytest.mark.parametrize("name, level_underflows", [
     pytest.param("xi=0.05", True, id="xi=0.05"),
     pytest.param("xi=20", True, id="xi=20"),
-    # the kernel floors these exponents, and nothing else in this level
-    # underflows
+    # its blocks' depth ranges keep every lane above ln(DBL_MIN)
     pytest.param("wide", False, id="wide"),
 ])
 def test_off_design_levels_reach_underflowing_lanes(name, level_underflows):
     # the identity above covers kernel exponents below ln(DBL_MIN) ~ -708.4,
     # whose exp is subnormal or 0 and takes numpy's per-lane path
     tiny = math.log(2.0 ** -1022)
-    assert lowest_kernel_exponent(CONFIGS[name], 64, 96, 6.0) < tiny
+    cfg = CONFIGS[name]
+    assert (lowest_kernel_exponent(cfg, 64, 96, 6.0) < tiny) is level_underflows
     assert lowest_kernel_exponent(CONFIGS["design"], 64, 96, 6.0) > tiny
-    if level_underflows:
-        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            _eta_on_grid(CONFIGS[name], 64, 96, 6.0)
+    # with unit weights only an exp lane can underflow
+    taus, x, coefs, rates = kernel_args(cfg, 64, 96, 6.0)
     with np.errstate(under="raise"):
+        if level_underflows:
+            with pytest.raises(FloatingPointError):
+                _gauss_sums(taus, x, coefs, rates, np.ones((3, x.size)))
+            with pytest.raises(FloatingPointError):
+                _eta_on_grid(cfg, 64, 96, 6.0)
+        else:
+            _gauss_sums(taus, x, coefs, rates, np.ones((3, x.size)))
         _eta_on_grid(CONFIGS["design"], 64, 96, 6.0)
 
 
