@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import spdcfc
 from spdcfc import bundled_bbo, magnification
 from spdcfc.cli import CSV_HEADER, SELLMEIER_PATH_ENV, main
 
@@ -687,10 +688,14 @@ def test_nonfinite_mu_and_bounds_exit_2(args, capsys):
     assert err.startswith("usage error:") and "finite" in err
 
 
-# runs main() with numpy blocked, as an interpreter without numpy would
-NUMPY_BLOCKED_PROBE = """
-import contextlib, io, json, sys
-sys.modules["numpy"] = None
+# runs main() on each argument list in one interpreter started with -S:
+# site-packages is then off sys.path, so numpy, and every other installed
+# package, is really absent; prints null if numpy is importable all the same
+STDLIB_ONLY_PROBE = """
+import contextlib, importlib.util, io, json, sys
+if importlib.util.find_spec("numpy") is not None:
+    print("null")
+    sys.exit()
 import spdcfc.cli
 runs = []
 for args in json.loads(sys.argv[1]):
@@ -701,20 +706,101 @@ for args in json.loads(sys.argv[1]):
 print(json.dumps(runs))
 """
 
+STEP_WALKOFFS = ["--Mp", "0.0763", "--M", "0.0724", "--QK", "0.0362"]
+STEP_POINT = ["--L-mm", "3", "--rp-um", "53", "--w-um", "1.48", "--mu", "49",
+              *STEP_WALKOFFS]
+INT_CONFIG = {"schema_version": 1, "L_um": 3000, "rp_um": 53, "w_um": 1.48,
+              "mu": 49, "walkoffs": {"Mp": 0.0763, "M": 0.0724, "QK": 0.0362}}
+# n^2 overflows on the file's range
+OVERFLOW_SELLMEIER = {
+    "material": "overflow",
+    "ordinary": {"coeffs": [1e308, 1e308, 0, -1e308], "range_um": [0.3, 1.0]},
+    "extraordinary": {"coeffs": [1e308, 0, 0, 0], "range_um": [0.3, 1.0]}}
 
-def test_oracle_without_numpy_exits_1_with_one_error_line(capsys):
-    runs = [["oracle", "--L-mm", "3", *REFERENCE_FLAGS], *NUMPY_FREE_RUNS]
+
+def test_oracle_without_numpy_exits_1_with_one_error_line(capsys, tmp_path):
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    run_json = write("run.json", run_cli(["eval", *STEP_POINT, "--format",
+                                          "json"], capsys)[1])
+    int_json = write("int.json", json.dumps(INT_CONFIG))
+    int_run = write("int-run.json", run_cli(["eval", "--config", int_json,
+                                             "--format", "json"], capsys)[1])
+    overflow = write("overflow.json", json.dumps(OVERFLOW_SELLMEIER))
+    quad = write("quad.json", '{"schema_version": 1, "quadrature": '
+                              '{"n_tau": 64.0}}')
+    runs = {
+        "eval": ["eval", *STEP_POINT],
+        "eval-json": ["eval", *STEP_POINT, "--format", "json"],
+        "eval-config": ["eval", "--config", run_json],
+        "int-config": ["eval", "--config", int_json, "--format", "json"],
+        "int-echo": ["eval", "--config", int_run, "--format", "json"],
+        # an eta past 1 by rounding only (a near-zero length) is read as 1
+        "eta-one": ["eval", "--L-mm", "5.3e-17", "--rp-um", "53", "--w-um",
+                    "8.399933920043905e-05", "--mu", "1", *WALKOFF_FLAGS],
+        # w*mu overflows while xi = w*mu/r_p = 1e4 does not
+        "eta-wide": ["eval", "--L-mm", "3", "--rp-um", "1e305", "--w-um",
+                     "1e300", "--mu", "1e9", *STEP_WALKOFFS],
+        "sellmeier-overflow": ["params", "--sellmeier", overflow,
+                               "--pump-nm", "400"],
+        # the object distance one float past the focal length
+        "lens-adjacent": ["eval", "--L-mm", "3", "--rp-um", "53", "--w-um",
+                          "1.48", "--f-mm", "0.0018241151702338225",
+                          "--dbl-mm", "0.0018241151702338228",
+                          *WALKOFF_FLAGS],
+        "mu-abc": ["sweep", "--L-range", "1:3:1", "--rp-um", "53", "--w-um",
+                   "1.48", *STEP_WALKOFFS, "--mu", "abc"],
+        "sweep": ["sweep", "--L-range", "1:3:1", "--rp-um", "53", "--w-um",
+                  "1.48", *STEP_WALKOFFS],
+        "optimize": ["optimize", "--var", "xi", "--bounds", "0.1:10",
+                     "--L-mm", "3", "--rp-um", "53", *STEP_WALKOFFS],
+        "params": ["params", "--sellmeier"],
+        # a 530 nm pump's 1.06 um photons lie at the bundled range's end
+        "params-530": ["params", "--sellmeier", "--pump-nm", "530"],
+        # the spec is refused before numpy is imported
+        "oracle-n-tau-7": ["oracle", *STEP_POINT, "--n-tau", "7"],
+        "oracle": ["oracle", *STEP_POINT],
+        # a whole float grid size reaches QuadratureSpec as an int: oracle
+        # gets as far as numpy, and is not refused as a count
+        "oracle-config": ["oracle", "--config", quad, *STEP_POINT],
+    }
+    # -S skips .pth files too, so an installed checkout is found this way
+    package_root = os.path.dirname(os.path.dirname(spdcfc.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_BLOCKED_PROBE, json.dumps(runs)],
-        capture_output=True, text=True)
+        [sys.executable, "-S", "-c", STDLIB_ONLY_PROBE,
+         json.dumps(list(runs.values()))],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root})
     assert proc.returncode == 0, proc.stderr
-    (code, out, err), *others = json.loads(proc.stdout)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: the quadrature oracle needs numpy")
-    assert err.count("\n") == 1
-    # the other subcommands do not need numpy
-    for args, (code, out, _) in zip(NUMPY_FREE_RUNS, others):
-        assert (code, out) == run_cli(args, capsys)[:2]
+    report = json.loads(proc.stdout)
+    if report is None:
+        pytest.skip("python -S imports numpy on this interpreter")
+    got = {name: tuple(run) for name, run in zip(runs, report)}
+    for name in ("oracle", "oracle-config"):
+        code, out, err = got.pop(name)
+        assert (code, out) == (1, ""), name
+        assert err.startswith("error: the quadrature oracle needs numpy")
+        assert err.count("\n") == 1
+    # every other run is the run with numpy, stderr included
+    for name, run in got.items():
+        assert run == run_cli(runs[name], capsys), name
+    assert got["eval-config"][1] == got["eval"][1]
+    assert '"rp_um": 53,' in got["int-config"][1]
+    assert got["int-echo"][1] == got["int-config"][1]
+    assert "eta     = 1" in got["eta-one"][1].splitlines()
+    assert "eta     = 3.99999988e-08" in got["eta-wide"][1].splitlines()
+    code, _, err = got["sellmeier-overflow"]
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = got["lens-adjacent"]
+    assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+    assert got["mu-abc"] == (
+        2, "", "usage error: --mu must be numeric, got 'abc'\n")
+    for name in ("eval", "sweep", "optimize", "params", "params-530"):
+        assert got[name][0] == 0, name
+    assert got["oracle-n-tau-7"] == (
+        1, "", "error: n_tau must be >= 8, got 7\n")
 
 
 # imports spdcfc, then runs one argument list through main(), in a fresh

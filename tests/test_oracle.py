@@ -229,6 +229,16 @@ def test_short_crystal_limit_is_prefactor():
         assert res.eta_numeric == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the singles integrals scale with L, so at L = 1e-160 um the product "
+    "p1 * p2 in _eta_on_grid's p12 / sqrt(p1 * p2) is subnormal: eta "
+    "deviates from the closed form by 9.2e-4 with est_rel_err 1.6e-14"))
+def test_short_crystal_limit_past_a_subnormal_singles_product():
+    cfg = xi_config(1e-160, 1.37)
+    res = eta_numeric(cfg)
+    assert res.eta_numeric == pytest.approx(efficiency(cfg).eta, rel=1e-9)
+
+
 def test_matches_closed_form_on_reference_points():
     for length in (3000.0, 1000.0):
         cfg = reference_config(length)
