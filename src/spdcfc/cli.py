@@ -31,6 +31,7 @@ from .core import (
     VARIABLES,
     ExperimentConfig,
     WalkOffSet,
+    _require_in,
     _require_pair,
     compute_alpha_beta,
     efficiency,
@@ -270,8 +271,11 @@ def _parse_numbers(text: str, flag: str, form: str) -> list[float]:
 
 def _parse_l_range_mm(text: str) -> list[float]:
     lo, hi, step = _parse_numbers(text, "--L-range", "lo:hi:step")
-    if lo <= 0.0 or step <= 0.0 or hi < lo:
-        raise UsageError(f"--L-range is empty or invalid: {text!r}")
+    try:  # core's order and range, as usage errors
+        _require_pair("--L-range", (lo, hi), "0 < lo <= hi")
+        _require_in("--L-range step", step, "> 0")
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     intervals = (hi - lo) / step + 1e-9  # may overflow to inf
     # floor(intervals) + 1 lengths exceed the cap exactly when this holds
     if intervals >= MAX_L_RANGE_POINTS:

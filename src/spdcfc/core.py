@@ -115,9 +115,7 @@ def erf_over_sigma(sigma: float) -> float:
     Returns 2/sqrt(pi) at sigma = 0 and decays monotonically to 0 at
     sigma = inf.
     """
-    value = _INF if sigma == _INF else _require_finite("sigma", sigma)
-    if not value >= 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    value = _INF if sigma == _INF else _require_in("sigma", sigma, ">= 0")
     return _erf_over_sigma(value)
 
 
@@ -177,8 +175,10 @@ def _check_fields(obj, names: tuple[str, ...], rule: str) -> None:
 # "<name> must be finite, got <value>" when NaN or infinite and as
 # "<name> must be <range>, got <value>" outside the range.  An ordered
 # pair (lo, hi) passes _require_pair: each item through _require_finite,
-# then the one order of _ORDERS it names, refused as "<name> must
-# satisfy <order>, got (<lo>, <hi>)".  A list of a fixed size passes
+# then _require_order with the one order of _ORDERS it names, refused as
+# "<name> must satisfy <order>, got (<lo>, <hi>)".  A grid (sweep's
+# _validated_grid) is the same two rules in a row: each item "> 0", each
+# neighbour pair "0 < lo < hi".  A list of a fixed size passes
 # _require_numbers: a list or tuple of that size, item k through
 # _require_finite as "<name>[k]".  A count passes _require_count: an
 # int, or what operator.index reads as one (a numpy integer), stored as
@@ -229,9 +229,16 @@ def _require_pair(name: str, values, order: str) -> tuple[float, float]:
         raise DomainError(
             f"{name} must be a pair (lo, hi), got {values!r:.60}")
     lo, hi = pair
-    if not _ORDERS[order](lo, hi):
-        raise DomainError(f"{name} must satisfy {order}, got ({lo}, {hi})")
+    _require_order(name, [pair], order)
     return lo, hi
+
+
+def _require_order(name: str, pairs, order: str) -> None:
+    # each (lo, hi) of pairs in the order of _ORDERS named by order
+    holds = _ORDERS[order]
+    for lo, hi in pairs:
+        if not holds(lo, hi):
+            raise DomainError(f"{name} must satisfy {order}, got ({lo}, {hi})")
 
 
 def _require_numbers(name: str, values, size: int) -> tuple[float, ...]:

@@ -401,14 +401,9 @@ def _model_from_doc(doc: dict, origin: str) -> IndexModel:
                       extraordinary=e["coeffs"],
                       range_um=(max(o_lo, e_lo), min(o_hi, e_hi)),
                       citation=str(doc.get("citation", "")))
-        # one form, or the two joined, which is refused; forms that are
-        # not text are refused first, since sorting them with text fails
         forms = [p.get("form", "sellmeier-1") for p in (o, e)]
-        if not all(isinstance(f, str) for f in forms):
-            raise DomainError(f"dispersion forms must be text, got {forms}")
-        form = " and ".join(sorted(set(forms)))
-        if form != "sellmeier-1":
-            raise DomainError(f"unsupported dispersion form {form!r}")
+        if forms != ["sellmeier-1", "sellmeier-1"]:
+            raise DomainError(f"unsupported dispersion forms {forms}")
         return IndexModel(**fields)
     except DomainError as exc:
         raise DomainError(f"{origin}: {exc}") from None

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (ExperimentConfig, WalkOffSet, _check_fields, _require_count,
-                   _require_finite, _require_numbers)
+                   _require_finite, _require_in, _require_numbers)
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -135,11 +135,9 @@ class OracleResult:
 
     def __post_init__(self):
         _check_fields(self, ("eta_numeric", "est_rel_err"), ">= 0")
-        object.__setattr__(self, "pieces",
-                           _require_numbers("pieces", self.pieces, 3))
-        p12, p1, p2 = self.pieces
-        if not (p12 > 0.0 and p1 > 0.0 and p2 > 0.0):
-            raise DomainError(f"probability integrals must be > 0: {self.pieces}")
+        object.__setattr__(self, "pieces", tuple(map(
+            _require_in, ("pieces[0]", "pieces[1]", "pieces[2]"),
+            _require_numbers("pieces", self.pieces, 3), ("> 0",) * 3)))
         # 1e-9 slack on the Cauchy-Schwarz bound for float roundoff
         if not 0.0 < self.eta_numeric <= 1.0 + self.est_rel_err + 1e-9:
             raise DomainError(

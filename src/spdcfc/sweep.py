@@ -8,7 +8,7 @@ from dataclasses import dataclass
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
                    WalkOffSet, _check_fields, _eta, _require_count,
-                   _require_finite, _require_in, _require_pair, _xi_terms,
+                   _require_in, _require_order, _require_pair, _xi_terms,
                    compute_alpha_beta)
 from .errors import DomainError
 
@@ -20,16 +20,13 @@ _REL_TOL = 1e-6
 
 def _validated_grid(name: str, values) -> tuple[float, ...]:
     try:
-        grid = tuple([_require_finite(name, v) for v in values])
+        grid = tuple([_require_in(name, v, "> 0") for v in values])
     except TypeError:  # not iterable: None, a bare number, ...
         raise DomainError(f"{name} must be a sequence of numbers, "
                           f"got {values!r:.60}") from None
     if not grid:
         raise DomainError(f"{name} must not be empty")
-    if any(v <= 0.0 for v in grid):
-        raise DomainError(f"{name} values must be positive and finite")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"{name} must be strictly increasing")
+    _require_order(name, zip(grid, grid[1:]), "0 < lo < hi")
     return grid
 
 
@@ -83,12 +80,12 @@ class SweepResult:
         if not self.rows:
             raise DomainError("sweep produced no rows")
         try:
-            inside = all(0.0 < r.eta <= 1.0 for r in self.rows)
-        except (AttributeError, TypeError):  # not rows, or an eta not a number
+            etas = [r.eta for r in self.rows]
+        except (AttributeError, TypeError):  # not rows
             raise DomainError(f"rows must be SweepRows with numeric etas, got "
                               f"{self.rows!r:.60}") from None
-        if not inside:
-            raise DomainError("sweep row with eta outside (0, 1]")
+        for k, eta in enumerate(etas):
+            _require_in(f"rows[{k}].eta", eta, "in (0, 1]")
 
 
 def _require_variable(variable: str) -> None:

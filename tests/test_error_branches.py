@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from spdcfc import AlphaBeta, OracleResult, PhaseMatchGeometry, ShapeParams
+from spdcfc import (AlphaBeta, OracleResult, PhaseMatchGeometry, ShapeParams,
+                    q_over_kbar)
 from spdcfc import oracle
 from spdcfc.errors import DomainError
 from spdcfc.sweep import OptResult, SweepResult, SweepRow
@@ -101,6 +102,16 @@ def test_shape_params_rejects_a_negative_sigma(field):
         ShapeParams(1.0, alpha_beta=AB, **sigmas)
 
 
+def test_a_cone_angle_that_does_not_refract_is_refused():
+    # sin of the angle just below pi/2 rounds to 1, which n_bar = 1 cannot
+    # refract; bundled BBO's n_bar is above 1, so the CLI cannot get here
+    geometry = PhaseMatchGeometry(0.415, 0.7, math.nextafter(math.pi / 2, 0))
+    with pytest.raises(DomainError) as exc:
+        q_over_kbar(geometry, 1.0)
+    assert str(exc.value) == (
+        "external cone angle does not refract into the crystal")
+
+
 @pytest.mark.parametrize("cone", [math.pi / 2.0, 2.0])
 def test_geometry_rejects_a_cone_angle_of_a_right_angle_or_more(cone):
     with pytest.raises(DomainError) as exc:
@@ -117,20 +128,25 @@ def test_sweep_result_rejects_no_rows():
 @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0 + 1e-12, math.nan])
 def test_sweep_result_rejects_an_eta_outside_the_unit_interval(eta):
     rows = (SweepRow(3000.0, 49.0, 1.37, 0.4), bare_row(3000.0, 60.0, 1.6, eta))
-    with pytest.raises(DomainError, match=r"sweep row with eta outside \(0, 1\]"):
+    with pytest.raises(DomainError) as exc:
         SweepResult(rows=rows)
+    assert str(exc.value) == (
+        "rows[1].eta must be finite, got nan" if math.isnan(eta)
+        else f"rows[1].eta must be in (0, 1], got {eta}")
 
 
-@pytest.mark.parametrize("rows", [
-    (bare_row(3000.0, 49.0, 1.37, None),),
-    (SweepRow(3000.0, 49.0, 1.37, 0.4), bare_row(3000.0, 60.0, 1.6, "0.5")),
-    5,
-    (5,),
+@pytest.mark.parametrize("rows, message", [
+    ((bare_row(3000.0, 49.0, 1.37, None),),
+     r"^rows\[0\]\.eta must be a number, got None$"),
+    ((SweepRow(3000.0, 49.0, 1.37, 0.4), bare_row(3000.0, 60.0, 1.6, "0.5")),
+     r"^rows\[1\]\.eta must be a number, got '0\.5'$"),
+    (5, "^rows must be SweepRows with numeric etas, got 5$"),
+    ((5,), r"^rows must be SweepRows with numeric etas, got \(5,\)$"),
 ], ids=["eta-None", "eta-text", "rows-not-iterable", "row-not-a-row"])
 def test_sweep_result_rejects_rows_that_are_not_rows_with_numeric_etas(
-        rows):
-    with pytest.raises(DomainError,
-                       match=r"^rows must be SweepRows with numeric etas, "):
+        rows, message):
+    # a non-row is refused as such; a row's eta by the number rule
+    with pytest.raises(DomainError, match=message):
         SweepResult(rows=rows)
 
 
@@ -150,8 +166,10 @@ def test_opt_result_reads_eta_max_by_the_number_rule(eta_max, message):
 @pytest.mark.parametrize("pieces", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0),
                                     (1.0, 1.0, 0.0), (1.0, -1.0, 1.0)])
 def test_oracle_result_rejects_a_zero_or_negative_piece(pieces):
-    with pytest.raises(DomainError, match="probability integrals must be > 0"):
+    k = next(k for k, p in enumerate(pieces) if p <= 0.0)
+    with pytest.raises(DomainError) as exc:
         OracleResult(eta_numeric=0.5, est_rel_err=1e-6, pieces=pieces)
+    assert str(exc.value) == f"pieces[{k}] must be > 0, got {pieces[k]}"
 
 
 @pytest.mark.parametrize("args, message", [

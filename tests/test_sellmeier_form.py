@@ -1,5 +1,6 @@
-"""A Sellmeier file whose dispersion form is not text is refused with one
-fixed message, whatever the interpreter's hash seed."""
+"""A Sellmeier file is refused unless both polarizations name the form
+sellmeier-1, with one message that lists both forms as the file gives
+them, whatever the interpreter's hash seed."""
 
 import json
 import os
@@ -39,18 +40,18 @@ def test_non_text_form_message_does_not_depend_on_hash_seed(forms, shown,
     assert {run.returncode for run in runs} == {2}
     assert {run.stdout for run in runs} == {""}
     assert {run.stderr for run in runs} == {
-        f"usage error: bad Sellmeier file: {path}: dispersion forms must be "
-        f"text, got {shown}\n"}
+        f"usage error: bad Sellmeier file: {path}: unsupported dispersion "
+        f"forms {shown}\n"}
 
 
 @pytest.mark.parametrize("forms, shown", [
-    (("other", "other"), "'other'"),
-    (("sellmeier-1", "other"), "'other and sellmeier-1'"),
-])
+    (("other", "other"), "['other', 'other']"),
+    (("sellmeier-1", "other"), "['sellmeier-1', 'other']"),
+], ids=["other", "two-forms"])
 def test_text_forms_other_than_sellmeier_1_are_refused(forms, shown,
                                                        tmp_path, capsys):
     path = sellmeier_file(tmp_path, *forms)
     assert main(["params", "--sellmeier", path]) == 2
     assert capsys.readouterr().err == (
         f"usage error: bad Sellmeier file: {path}: unsupported dispersion "
-        f"form {shown}\n")
+        f"forms {shown}\n")

@@ -301,12 +301,11 @@ def test_sweep_inputs_take_ints_as_floats():
 
 
 def test_non_finite_float_grid_keeps_the_grid_message():
-    # a non-finite float meets the number rule; a finite one the grid's
-    # own check
+    # every grid item meets the number rule, and its range "> 0"
     cfg = reference_config()
     for bad, message in ((float("nan"), "mu_values must be finite, got nan"),
                          (float("inf"), "mu_values must be finite, got inf"),
-                         (-1.0, "mu_values values must be positive and finite")):
+                         (-1.0, "mu_values must be > 0, got -1.0")):
         with pytest.raises(DomainError) as exc:
             SweepSpec(l_grid=(1000.0,), mu_values=(bad,), fixed=cfg)
         assert str(exc.value) == message

@@ -193,9 +193,9 @@ def oracle_calls(api, rng: random.Random) -> list[tuple[str, object]]:
             configs.append((length, 53.0, 1.48, 49.0, wo))
     # a nonzero pair decay at a length whose square overflows
     configs.append((1e160, 0.01, 0.01, 1.0, (1e-8, 0.0, 0.0)))
-    # the ends of the design region's xi = w mu / r_p range, where the
-    # kernel floors its dead lanes and the weights' scale keeps products
-    # normal; their own stream, so the calls above and below keep theirs
+    # the ends of the design region's xi = w mu / r_p range, where some
+    # kernel lanes reach exponents below ln(DBL_MIN); their own stream, so
+    # the calls above and below keep theirs
     tail = random.Random(f"{SEED}:design-tail")
     for k in range(40):
         rp = tail.uniform(30.0, 120.0)
@@ -207,8 +207,8 @@ def oracle_calls(api, rng: random.Random) -> list[tuple[str, object]]:
                       lambda a=args: api.eta_numeric(api.ExperimentConfig(
                           *a[:4], api.WalkOffSet(*a[4])))))
     # the same tails under specs whose kernel passes hold two blocks and
-    # then one (n_tau * n_trans = 49,152), or one (98,304): a pass floors
-    # the rows of some of its blocks only; again their own stream
+    # then one (n_tau * n_trans = 49,152), or one (98,304), so that the
+    # low lanes fall in some blocks of a pass only; again their own stream
     split = random.Random(f"{SEED}:split-passes")
     for n_tau in (128, 256):
         for k in range(10):
