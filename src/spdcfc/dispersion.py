@@ -34,7 +34,7 @@ from pathlib import Path
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
 from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _check_fields,
                    _require_finite, _require_in, _require_numbers,
-                   _require_pair)
+                   _require_order, _require_pair)
 from .errors import DomainError, WavelengthRangeError
 
 # Width at which the phase-matching bisection stops.  Far above the float
@@ -65,7 +65,8 @@ class IndexModel:
                            ("range_um", 2)):
             object.__setattr__(self, name, _require_numbers(
                 name, getattr(self, name), size))
-        lo, hi = _require_pair("range_um", self.range_um, "0 < lo < hi")
+        lo, hi = self.range_um
+        _require_order("range_um", [self.range_um], "0 < lo < hi")
         u_lo, u_hi = lo * lo, hi * hi
         for name in ("ordinary", "extraordinary"):
             c0, c1, c2, c3 = getattr(self, name)

@@ -26,8 +26,12 @@ at L), wide trapezoid transversely.  Each of the three depth integrals
 (the pair, and each singles arm) falls as a Gaussian exp(-g tau^2) and
 takes the rule on its own range [0, min(L, sqrt(40 / g))], past which
 its integrand is below exp(-40) of its value at the entry face; g is
-formed once per config, from the same coefficients as the kernel's.
-The estimated relative error comes from doubling every grid.  The
+formed once per config, from the same coefficients as the kernel's,
+and the kernel takes one row of depths per integral.  Those
+coefficients and the grid's half-width are formed once per config and
+extent factor, and what the quadrature cannot represent (widths, grid
+reach, crystal length) is refused there, before any grid is built.  The
+estimated relative error comes from doubling every grid.  The
 Gauss-Legendre rule is built once per size and cached.  Each product of
 depth-shifted Gaussians takes one exponential over the grid, of its
 combined quadratic exponent; the unshifted factors and the trapezoid
@@ -185,10 +189,8 @@ def _drift_rates(w: WalkOffSet) -> tuple[float, float, float, float]:
     return pair_sep, pump_off2, arm1, arm2
 
 
-def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
-                     extent_factor: float) -> tuple[np.ndarray, np.ndarray]:
-    back_imaged = cfg.fiber_mode_radius * cfg.inverse_magnification
-    half_width = extent_factor * max(back_imaged, cfg.pump_waist)
+def _transverse_grid(half_width: float,
+                     n_trans: int) -> tuple[np.ndarray, np.ndarray]:
     # np.linspace(-half_width, half_width, n_trans) by linspace's own
     # arithmetic, without its per-call overhead (linspace takes another
     # formula only when the step underflows to 0, for a half-width of a
@@ -201,23 +203,23 @@ def _transverse_grid(cfg: ExperimentConfig, n_trans: int,
 
 
 def _shifted_differences(taus: np.ndarray, x: np.ndarray,
-                         rate: float | tuple[float, ...]) -> np.ndarray:
-    """x - rate * taus[:, None], built as the product [1, s] @ [[x], [-1]].
+                         rates: tuple[float, ...]) -> np.ndarray:
+    """x - rate * tau for each rate and its row of taus, built as the
+    product [1, s] @ [[x], [-1]].
 
-    rate may also be a sequence of rates: their blocks stack, in order,
-    into one (len(rate) * n) x x.size matrix, where taus is one row of n
-    depths for every rate or one such row per rate.  BLAS fills the
-    matrix faster than numpy's broadcast loop (~2.8x at 128x192, ~1.4x
-    at 64x96).  Each entry is 1 * x_j + s_i * (-1): both products are
+    taus holds one row of n depths per rate; the blocks stack, in order,
+    into one (len(rates) * n) x x.size matrix.  BLAS fills the matrix
+    faster than numpy's broadcast loop (~2.8x at 128x192, ~1.4x at
+    64x96).  Each entry is 1 * x_j + s_i * (-1): both products are
     exact, so with or without FMA the sum is rounded once and the
     entries are bit-identical to the broadcast difference.
     """
     import numpy as np
 
-    rates = np.array(rate, dtype=float).reshape(-1, 1)
-    left = np.empty((rates.shape[0], taus.shape[-1], 2))
+    left = np.empty((*taus.shape, 2))
     left[..., 0] = 1.0
-    np.multiply(rates, taus, out=left[..., 1])
+    np.multiply(np.array(rates, dtype=float)[:, None], taus,
+                out=left[..., 1])
     right = np.empty((2, x.size))
     right[0] = x
     right[1] = -1.0
@@ -227,8 +229,8 @@ def _shifted_differences(taus: np.ndarray, x: np.ndarray,
 def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
                 rates: tuple[float, ...], vecs: np.ndarray) -> np.ndarray:
     """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau,
-    for each block (coef, rate, vec); shape (len(coefs), n), where taus is
-    one row of n depths for every block or one such row per block.
+    for each block (coef, rate, vec) and its row of taus; taus holds one
+    row of n depths per block, and the result has its shape.
 
     The oracle's one 2-D kernel.  Blocks stack into one array per pass,
     as many as fit _PASS_ELEMENTS (at least one), and each step runs
@@ -241,8 +243,6 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     """
     import numpy as np
 
-    if taus.ndim == 1:  # one row of depths for every block
-        taus = taus[None].repeat(len(coefs), axis=0)
     n_tau = taus.shape[1]
     per_pass = max(1, _PASS_ELEMENTS // (n_tau * x.size))
     sums = np.empty((len(coefs), n_tau, 1))
@@ -258,38 +258,38 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
     return sums[..., 0]
 
 
-def _exponent_coefs(cfg: ExperimentConfig) -> tuple[float, float, float]:
-    # mode(x) = exp(-a x^2) / sqrt(sqrt(pi) w mu), the unit-normalized fiber
-    # mode back-imaged onto the crystal plane, and pump(x) = exp(-b x^2),
-    # whose normalization cancels in the ratio; returns (a, b, mode norm^2).
-    # The widths squared, a, b and the pair's a*b must be normal floats:
-    # past that range the divisions fail, inf * 0 turns the Gaussians into
-    # NaN, or a*b underflows and the pair's decay comes out wrong
-    radius = cfg.fiber_mode_radius * cfg.inverse_magnification
-    mode_sq, pump_sq = radius * radius, cfg.pump_waist * cfg.pump_waist
-    if mode_sq >= _TINY and pump_sq >= _TINY:
-        a, b = 0.5 / mode_sq, 0.5 / pump_sq
-        if a >= _TINY and b >= _TINY and _TINY <= a * b < math.inf:
-            return a, b, 1.0 / (math.sqrt(math.pi) * radius)
-    raise DomainError(f"widths w*mu = {radius} um and r_p = {cfg.pump_waist} "
-                      "um are outside the range the quadrature can represent")
-
-
 @functools.lru_cache(maxsize=1)
-def _gaussians(cfg: ExperimentConfig) -> tuple:
-    """cfg's Gaussian coefficients and depth ranges, shared by its levels.
+def _gaussians(cfg: ExperimentConfig, extent_factor: float) -> tuple:
+    """cfg's Gaussians, grid half-width and depth ranges, shared by its
+    levels, once the quadrature is known to represent them.
 
-    Returns (a, b, norm_sq, coef, rate, decay, arm1, arm2, half_depths):
-    the fiber mode's and the pump's coefficients and the mode's norm
-    squared (_exponent_coefs), the pair block's coefficient, drift rate
-    and decay, the arms' drift rates, and half of each _depth_ranges
-    entry, as a read-only column.  The last config's are kept, so an
-    eta_numeric call forms them once for all its levels.
+    Returns (a, b, norm_sq, coef, rate, decay, arm1, arm2, half_width,
+    half_depths): the fiber mode's and the pump's coefficients and the
+    mode's norm squared, the pair block's coefficient, drift rate and
+    decay, the arms' drift rates, the transverse grid's half-width, and
+    half of each _depth_ranges entry, as a read-only column.  Widths,
+    grid reach and crystal length are refused here, in that order,
+    before any array is built.  The last (cfg, extent_factor)'s are
+    kept, so an eta_numeric call forms them once for all its levels.
     """
     import numpy as np
 
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
-    a, b, norm_sq = _exponent_coefs(cfg)  # refuses widths before the grid
+    # mode(x) = exp(-a x^2) / sqrt(sqrt(pi) w mu), the unit-normalized fiber
+    # mode back-imaged onto the crystal plane, and pump(x) = exp(-b x^2),
+    # whose normalization cancels in the ratio.  The widths squared, a, b
+    # and the pair's a*b must be normal floats: past that range the
+    # divisions fail, inf * 0 turns the Gaussians into NaN, or a*b
+    # underflows and the pair's decay comes out wrong
+    radius = cfg.fiber_mode_radius * cfg.inverse_magnification
+    mode_sq, pump_sq = radius * radius, cfg.pump_waist * cfg.pump_waist
+    a = b = 0.0
+    if mode_sq >= _TINY and pump_sq >= _TINY:
+        a, b = 0.5 / mode_sq, 0.5 / pump_sq
+    if not (a >= _TINY and b >= _TINY and _TINY <= a * b < math.inf):
+        raise DomainError(f"widths w*mu = {radius} um and r_p = "
+                          f"{cfg.pump_waist} um are outside the range the "
+                          "quadrature can represent")
     # mode(x) mode(x - pair_sep tau) pump(x - c tau), the pump pump_off2/2
     # beyond the pair midpoint: c = (pair_sep + pump_off2)/2.  The shifted
     # exponent a (x - pair_sep tau)^2 + b (x - c tau)^2 is
@@ -298,9 +298,22 @@ def _gaussians(cfg: ExperimentConfig) -> tuple:
     coef = a + b
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / coef
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
+    half_width = extent_factor * max(radius, cfg.pump_waist)
+    length = cfg.crystal_length
+    # the kernel squares x - rate tau, with |x| up to the half-width and
+    # tau up to L: refused where that square would overflow
+    reach = half_width + max(rate, arm1, arm2) * length
+    if reach * reach == math.inf:
+        raise DomainError(f"grid reach half-width + rate * L = {reach} um is "
+                          "outside the range the quadrature can represent")
+    # a nonzero decay multiplies tau^2, with tau up to L
+    if decay and length * length == math.inf:
+        raise DomainError(f"crystal length L = {length} um is outside the "
+                          "range the quadrature can represent")
     half_depths = 0.5 * np.array(_depth_ranges(cfg))[:, None]
     half_depths.flags.writeable = False
-    return a, b, norm_sq, coef, rate, decay, arm1, arm2, half_depths
+    return (a, b, 1.0 / (math.sqrt(math.pi) * radius), coef, rate, decay,
+            arm1, arm2, half_width, half_depths)
 
 
 def _depth_ranges(cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -329,32 +342,21 @@ def _depth_ranges(cfg: ExperimentConfig) -> tuple[float, float, float]:
                  for width, drift in spans)
 
 
-def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
-               extent_factor: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _densities(gaussians: tuple, taus: np.ndarray,
+               n_trans: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-depth densities of the pair and both singles arms, from one
     call of the kernel, on the transverse grid of n_trans points.
 
-    taus holds n birth depths for every integral, or one row of n for
-    each: pair, arm 1, arm 2.  Returns the pair overlap density at its
-    depths (idle axis included); the singles' row sums of arm 1 and arm
-    2, shape (2, n); and the singles' idle axis, which multiplies both
-    arms' rows.
+    gaussians is _gaussians' tuple for the config; taus holds one row of
+    n birth depths per integral: pair, arm 1, arm 2.  Returns the pair
+    overlap density at its depths (idle axis included); the singles' row
+    sums of arm 1 and arm 2, shape (2, n); and the singles' idle axis,
+    which multiplies both arms' rows.
     """
     import numpy as np
 
-    a, b, norm_sq, coef, rate, decay, arm1, arm2, _ = _gaussians(cfg)
-    x, tw = _transverse_grid(cfg, n_trans, extent_factor)
-    length = cfg.crystal_length
-    # the kernel squares x - rate tau, with |x| up to the half-width and
-    # tau up to L: refused where that square would overflow
-    reach = float(x[-1]) + max(rate, arm1, arm2) * length
-    if reach * reach == math.inf:
-        raise DomainError(f"grid reach half-width + rate * L = {reach} um is "
-                          "outside the range the quadrature can represent")
-    # a nonzero decay multiplies tau^2, with tau up to L
-    if decay and length * length == math.inf:
-        raise DomainError(f"crystal length L = {length} um is outside the "
-                          "range the quadrature can represent")
+    a, b, norm_sq, coef, rate, decay, arm1, arm2, half_width, _ = gaussians
+    x, tw = _transverse_grid(half_width, n_trans)
     # the unshifted Gaussians: the mode, the pair block's weight, and
     # mode^2 twice, one weight per arm block (each normalized and with
     # the trapezoid weights); then the pair's idle axis and pump^2
@@ -366,8 +368,7 @@ def _densities(cfg: ExperimentConfig, taus: np.ndarray, n_trans: int,
                        (rate, arm1, arm2), vecs)
     # a zero decay's factor is exactly 1, but NaN once tau^2 overflows
     if decay:
-        pair_taus = taus if taus.ndim == 1 else taus[0]
-        pair = np.exp(-decay * (pair_taus * pair_taus)) * sums[0]
+        pair = np.exp(-decay * (taus[0] * taus[0])) * sums[0]
     else:
         pair = sums[0]
     return pair * pair_idle, sums[1:], singles_idle
@@ -386,8 +387,8 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
             f"tau must lie in [0, {cfg.crystal_length}], got {tau}")
     import numpy as np
 
-    return float(_densities(cfg, np.array([tau]), spec.n_trans,
-                            spec.extent_factor)[0][0])
+    return float(_densities(_gaussians(cfg, spec.extent_factor),
+                            np.full((3, 1), tau), spec.n_trans)[0][0])
 
 
 def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
@@ -397,10 +398,10 @@ def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
     Each integral takes the n_tau point rule on its own depth range.
     """
     nodes, gl_weights = _gauss_legendre(n_tau)
-    half_depths = _gaussians(cfg)[-1]
-    taus = half_depths * (nodes + 1.0)
-    tau_w = half_depths * gl_weights
-    pair, singles, idle = _densities(cfg, taus, n_trans, extent_factor)
+    gaussians = _gaussians(cfg, extent_factor)
+    taus = gaussians[-1] * (nodes + 1.0)
+    tau_w = gaussians[-1] * gl_weights
+    pair, singles, idle = _densities(gaussians, taus, n_trans)
     p12 = float((tau_w[0] * pair ** 2).sum())
     p1, p2 = (tau_w[1:] * singles * idle).sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2

@@ -13,6 +13,7 @@ ranges scale with the lengths.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet, efficiency, eta_numeric
@@ -35,12 +36,13 @@ N_TRANS, EXTENT = 96, 6.0
 
 
 def whole_crystal_level(cfg, n_tau):
-    """A level with all three integrals on [0, L]: one row of depths,
-    which the kernel applies to every block."""
+    """A level with all three integrals on [0, L]: the same row of
+    depths for every block."""
     nodes, weights = _gauss_legendre(n_tau)
     taus = 0.5 * cfg.crystal_length * (nodes + 1.0)
     tau_w = 0.5 * cfg.crystal_length * weights
-    pair, singles, idle = _densities(cfg, taus, N_TRANS, EXTENT)
+    pair, singles, idle = _densities(_gaussians(cfg, EXTENT),
+                                     np.tile(taus, (3, 1)), N_TRANS)
     p12 = float((tau_w * pair ** 2).sum())
     p1, p2 = (tau_w * singles * idle).sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
@@ -80,7 +82,8 @@ def test_what_a_cut_leaves_out_is_below_1e_15(name):
             continue
         cut += 1
         taus = t + 0.5 * (length - t) * (nodes + 1.0)
-        pair, singles, idle = _densities(cfg, taus, N_TRANS, EXTENT)
+        pair, singles, idle = _densities(_gaussians(cfg, EXTENT),
+                                         np.tile(taus, (3, 1)), N_TRANS)
         integrand = pair ** 2 if k == 0 else singles[k - 1] * idle
         left_out = float((0.5 * (length - t) * weights * integrand).sum())
         assert 0.0 <= left_out < 1e-15 * kept[k]

@@ -16,7 +16,7 @@ import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
 from spdcfc.oracle import (_TINY, _depth_ranges, _drift_rates, _eta_on_grid,
-                           _exponent_coefs, _gauss_sums)
+                           _gauss_sums, _gaussians)
 
 from conftest import REFERENCE_WALKOFFS
 
@@ -57,7 +57,7 @@ def plain_sums(taus, x, coef, rate, vec):
 def plain_level(cfg, n_tau, n_trans, extent_factor):
     """One level on np.linspace's grid, one block per kernel."""
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
-    a, b, norm_sq = _exponent_coefs(cfg)
+    a, b, norm_sq = _gaussians(cfg, extent_factor)[:3]
     half_width = extent_factor * max(
         cfg.fiber_mode_radius * cfg.inverse_magnification, cfg.pump_waist)
     x = np.linspace(-half_width, half_width, n_trans)
@@ -108,10 +108,11 @@ def test_lanes_below_ln_dbl_min_keep_numpys_subnormal_bits():
     # a dead block stacked in a pass with a live one, and a dead row after
     # a live one in a block
     live = plain_sums(dead, x, 1.0, 0.0, ones)[0]
-    got = _gauss_sums(dead, x, (1.0, 1.0), (0.0, 1.0), np.ones((2, x.size)))
+    got = _gauss_sums(np.full((2, 1), 27.0), x, (1.0, 1.0), (0.0, 1.0),
+                      np.ones((2, x.size)))
     assert [v.hex() for v in got.ravel()] == [live.hex(), want.hex()]
     taus = np.array([0.0, 27.0])
-    got = _gauss_sums(taus, x, (1.0,), (1.0,), ones[None])[0]
+    got = _gauss_sums(taus[None], x, (1.0,), (1.0,), ones[None])[0]
     assert [v.hex() for v in got] == [
         v.hex() for v in plain_sums(taus, x, 1.0, 1.0, ones)]
     assert got[1] == want

@@ -192,7 +192,7 @@ def kernel_case(n_tau: int, n_trans: int, peak: str):
 @pytest.mark.parametrize("n_tau, n_trans", KERNEL_SHAPES)
 def test_gauss_rows_matches_plain_loop(n_tau, n_trans, peak):
     taus, x, vec, coef, rate = kernel_case(n_tau, n_trans, peak)
-    got = _gauss_sums(taus, x, (coef,), (rate,), vec[None])[0]
+    got = _gauss_sums(taus[None], x, (coef,), (rate,), vec[None])[0]
     assert got.shape == (n_tau,)
     xs, vs = x.tolist(), vec.tolist()
     for tau, row in zip(taus.tolist(), got.tolist()):
@@ -214,7 +214,7 @@ def test_shifted_differences_equal_the_broadcast(n_tau, n_trans, peak):
                   (rng.uniform(-1e3, 1e3, n_trans), rate * 997.13),
                   (np.sort(rng.standard_normal(n_trans)) * 1e-7,
                    rng.standard_normal() * 1e-7)):
-        got = _shifted_differences(taus, xs, r)
+        got = _shifted_differences(taus[None], xs, (r,))
         assert np.array_equal(got, xs - r * taus[:, None])
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from spdcfc import ExperimentConfig, WalkOffSet
 from spdcfc.oracle import (_depth_ranges, _drift_rates, _eta_on_grid,
-                           _exponent_coefs, _gauss_legendre, _gauss_sums,
+                           _gauss_legendre, _gauss_sums, _gaussians,
                            _transverse_grid)
 
 from conftest import REFERENCE_WALKOFFS, reference_config
@@ -48,7 +48,7 @@ LEVEL_SHAPES = [(64, 96), (128, 192), (256, 384), (128, 384), (13, 33),
 def unstacked_level(cfg, n_tau, n_trans, extent_factor):
     """One level as three separate kernels on np.linspace's grid."""
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
-    a, b, norm_sq = _exponent_coefs(cfg)
+    a, b, norm_sq = _gaussians(cfg, extent_factor)[:3]
     half_width = extent_factor * max(
         cfg.fiber_mode_radius * cfg.inverse_magnification, cfg.pump_waist)
     x = np.linspace(-half_width, half_width, n_trans)
@@ -66,13 +66,13 @@ def unstacked_level(cfg, n_tau, n_trans, extent_factor):
     decay = a * b * (0.5 * (pair_sep - pump_off2)) ** 2 / coef
     mode_w = norm_sq * np.exp(-a * (x * x)) * tw
     pair = (np.exp(-decay * (taus * taus))
-            * _gauss_sums(taus, x, (coef,), (rate,), mode_w[None])[0]
+            * _gauss_sums(taus[None], x, (coef,), (rate,), mode_w[None])[0]
             * float((mode_w * np.exp(-coef * (x * x))).sum()))
     p12 = float((tau_w * pair ** 2).sum())
 
     mode_sq_w = norm_sq * np.exp(-2.0 * a * (x * x)) * tw
     idle = float((mode_sq_w * np.exp(-2.0 * b * (x * x))).sum())
-    p1, p2 = (float((tau_w * _gauss_sums(taus, x, (2.0 * b,), (arm,),
+    p1, p2 = (float((tau_w * _gauss_sums(taus[None], x, (2.0 * b,), (arm,),
                                          mode_sq_w[None])[0] * idle).sum())
               for arm, (taus, tau_w) in zip((arm1, arm2), arm_rules))
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
@@ -92,8 +92,9 @@ def kernel_args(cfg, n_tau, n_trans, extent_factor):
     """(taus, x, coefs, rates) of a level's kernel call, as _densities
     builds them: each block's depths on its own range."""
     pair_sep, pump_off2, arm1, arm2 = _drift_rates(cfg.walkoffs)
-    a, b, _ = _exponent_coefs(cfg)
-    x, _ = _transverse_grid(cfg, n_trans, extent_factor)
+    gaussians = _gaussians(cfg, extent_factor)
+    a, b = gaussians[:2]
+    x, _ = _transverse_grid(gaussians[-2], n_trans)
     nodes = _gauss_legendre(n_tau)[0]
     taus = np.array([0.5 * t * (nodes + 1.0) for t in _depth_ranges(cfg)])
     rate = (a * pair_sep + 0.5 * b * (pair_sep + pump_off2)) / (a + b)
@@ -138,13 +139,9 @@ def test_off_design_levels_reach_underflowing_lanes(name, level_underflows):
                          ids=["normal", "tiny", "subnormal", "huge",
                               "width-overflows"])
 def test_transverse_grid_is_numpys_linspace(pump_waist, n_trans):
-    cfg = ExperimentConfig(
-        crystal_length=3000.0, pump_waist=pump_waist,
-        fiber_mode_radius=pump_waist / 4.0, inverse_magnification=1.0,
-        walkoffs=REFERENCE_WALKOFFS)
     half_width = 6.0 * pump_waist
     with np.errstate(over="ignore", invalid="ignore"):  # 2 * 1.2e308 = inf
-        x, weights = _transverse_grid(cfg, n_trans, 6.0)
+        x, weights = _transverse_grid(half_width, n_trans)
         want = np.linspace(-half_width, half_width, n_trans)
     assert x.tobytes() == want.tobytes()
     assert x[0] == -half_width or not math.isfinite(2.0 * half_width)

@@ -21,10 +21,11 @@ on bundled-BBO walk-offs over the design ranges of the benchmark's
 form), whose exit code, stdout and stderr are recorded with the
 temporary directory's path replaced by ``<tmp>``, and counts given as
 numpy integers, bools and integral floats beside ordered pairs at the
-edges of their orders, and the oracle over the wide-domain probe of
-ROADMAP item 3.  The list depends only on the seed, so a dump
-of one checkout under two environments, or of two checkouts, can be
-compared entry by entry.
+edges of their orders, the oracle over the wide-domain probe of
+ROADMAP item 3, and the refusals of grids, result records, Sellmeier
+forms and the oracle's range checks that no draw reaches.  The list
+depends only on the seed, so a dump of one checkout under two
+environments, or of two checkouts, can be compared entry by entry.
 
 ``compare`` prints every call whose outcome differs and exits 1 if
 any does, 0 if none does.  Standard library only, besides spdcfc and
@@ -814,6 +815,76 @@ def cli_calls(tmp: str) -> list[tuple[str, object]]:
              lambda a=argv: run_cli(cli, a, tmp)) for argv in argvs]
 
 
+def refusal_calls(api, tmp: str) -> list[tuple[str, object]]:
+    # refusals no call above reaches: a grid item <= 0 and neighbours out
+    # of order in each library grid; result records with a non-row, a row
+    # whose eta is outside (0, 1] and pieces zero, NaN or missing;
+    # Sellmeier files whose forms are not two sellmeier-1, through the
+    # command line (a file's path is in its refusal); and the oracle's
+    # three range refusals (widths, grid reach at two extent factors whose
+    # grid overflows, the crystal length squared), by both of its entry
+    # points.  Unseeded, and run last, so every call above keeps its
+    # outcome
+    import spdcfc.cli as cli
+
+    walkoffs = api.WalkOffSet(*REF_WALKOFFS)
+    ref = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0, walkoffs)
+    grids = ((1e3, 0.0), (1e3, -1.0), (2e3, 1e3), (1e3, 1e3),
+             (1e3, 3e3, 2e3))
+    sites = {
+        "SweepSpec.l_grid": lambda g: api.SweepSpec(g, (49.0,), ref),
+        "SweepSpec.mu_values": lambda g: api.SweepSpec((1e3,), g, ref),
+        "ceiling_scan.l_grid": lambda g: api.ceiling_scan(53.0, walkoffs, g),
+    }
+    calls = [(f"{name}{grid!r}", lambda f=fn, g=grid: f(g))
+             for name, fn in sites.items() for grid in grids]
+
+    def row(eta):
+        # a row built without __init__, as efficiency_curve builds its own
+        built = object.__new__(api.SweepRow)
+        built.__dict__.update(length=3e3, mu=49.0, xi=1.37, eta=eta)
+        return built
+
+    for name, rows in (("a non-row", lambda: (1.0,)),
+                       ("a non-row after a row", lambda: (row(0.4), "row")),
+                       *((f"rows[1].eta={eta!r}",
+                          lambda e=eta: (row(0.4), row(e)))
+                         for eta in (0.0, -0.5, 1.5, math.nan, None))):
+        calls.append((f"SweepResult({name})",
+                      lambda r=rows: api.SweepResult(r())))
+    for pieces in ((0.0, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0)):
+        calls.append((f"OracleResult(pieces={pieces!r})",
+                      lambda p=pieces: api.OracleResult(0.5, 1e-6, p)))
+    bbo = api.bundled_bbo()
+    for k, forms in enumerate((("other", "other"), ("sellmeier-1", "other"),
+                               (None, "sellmeier-1"), (1, 1), ())):
+        doc = {"material": "forms", "citation": "",
+               **{name: {"coeffs": list(getattr(bbo, name)),
+                         "range_um": list(bbo.range_um)}
+                  for name in ("ordinary", "extraordinary")}}
+        for name, form in zip(("ordinary", "extraordinary"), forms):
+            doc[name]["form"] = form  # () keeps the default form
+        path = os.path.join(tmp, f"forms-{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["params", "--sellmeier", path]
+        calls.append((f"cli params --sellmeier <tmp>, forms {forms!r}",
+                      lambda a=argv: run_cli(cli, a, tmp)))
+    long = api.ExperimentConfig(1e160, 0.01, 0.01, 1.0,
+                                api.WalkOffSet(1e-8, 0.0, 0.0))
+    narrow = api.ExperimentConfig(3000.0, 1e-170, 1.48, 49.0, walkoffs)
+    for name, cfg, extent in (("widths", narrow, 6.0), ("reach", ref, 2e306),
+                              ("reach", ref, 1e307), ("length", long, 6.0)):
+        spec = api.QuadratureSpec(extent_factor=extent)
+        calls.append((f"eta_numeric, {name}, extent_factor={extent!r}",
+                      lambda c=cfg, s=spec: api.eta_numeric(c, s)))
+        calls.append((f"pair_overlap_density, {name}, "
+                      f"extent_factor={extent!r}",
+                      lambda c=cfg, s=spec: api.pair_overlap_density(c, 0.0,
+                                                                     s)))
+    return calls
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
@@ -824,7 +895,7 @@ def dump(checkout: Path, out: Path) -> None:
                  + xi_range_calls(api) + sellmeier_overflow_calls(api)
                  + number_rule_calls(api) + design_study_calls(api)
                  + cli_calls(tmp) + count_and_pair_calls(api)
-                 + oracle_probe_calls(api))
+                 + oracle_probe_calls(api) + refusal_calls(api, tmp))
         record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
