@@ -182,7 +182,10 @@ def _check_fields(obj, names: tuple[str, ...], rule: str) -> None:
 # _require_numbers: a list or tuple of that size, item k through
 # _require_finite as "<name>[k]".  A count passes _require_count: an
 # int, or what operator.index reads as one (a numpy integer), stored as
-# an int; never a bool, Python's or numpy's.
+# an int; never a bool, Python's or numpy's.  A record (a config, a spec,
+# a model, ...) passes _require_record: an instance of its type, refused
+# as "<name> must be a <Type>, got <value>" where its fields are first
+# read.
 _RANGES = {
     "> 0": lambda v: v > 0.0,
     ">= 0": lambda v: v >= 0.0,
@@ -264,6 +267,13 @@ def _require_count(name: str, value, least: int) -> int:
     return value
 
 
+def _require_record(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise DomainError(
+            f"{name} must be {article} {kind.__name__}, got {value!r:.60}")
+
+
 @dataclass(frozen=True)
 class WalkOffSet:
     """Dimensionless transverse-drift numbers of the crystal geometry.
@@ -314,8 +324,7 @@ class ExperimentConfig:
         _check_fields(self, ("crystal_length", "pump_waist",
                              "fiber_mode_radius", "inverse_magnification"),
                       "> 0")
-        if not isinstance(self.walkoffs, WalkOffSet):
-            raise DomainError("walkoffs must be a WalkOffSet")
+        _require_record("walkoffs", self.walkoffs, WalkOffSet)
 
 
 @dataclass(frozen=True)
@@ -331,6 +340,7 @@ class ShapeParams:
     def __post_init__(self):
         _check_fields(self, ("xi",), "> 0")
         _check_fields(self, ("sigma_c", "sigma1", "sigma2"), ">= 0")
+        _require_record("alpha_beta", self.alpha_beta, AlphaBeta)
 
 
 @dataclass(frozen=True)
@@ -342,6 +352,7 @@ class EfficiencyResult:
 
     def __post_init__(self):
         _check_fields(self, ("eta",), "in (0, 1]")
+        _require_record("shape", self.shape, ShapeParams)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +370,7 @@ def compute_alpha_beta(walkoffs: WalkOffSet) -> AlphaBeta:
         alpha2 = (m_p - m)^2 + q^2
         beta   = m^2 + 4 q^2
     """
+    _require_record("walkoffs", walkoffs, WalkOffSet)
     q2 = walkoffs.q_over_k ** 2
     return AlphaBeta(
         alpha1=walkoffs.m_p ** 2 + q2,
@@ -480,6 +492,7 @@ def _eta(terms: tuple[float, ...], ratio: float) -> float:
 
 def shape_params(cfg: ExperimentConfig) -> ShapeParams:
     """Reduce an experiment configuration to its dimensionless shape."""
+    _require_record("cfg", cfg, ExperimentConfig)
     ab = compute_alpha_beta(cfg.walkoffs)
     xi, _, kc, k1, k2 = _xi_terms(
         cfg.fiber_mode_radius, cfg.inverse_magnification, cfg.pump_waist, ab)
@@ -497,6 +510,7 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
     length, where it equals the pure mode-matching prefactor
     4 (1+xi^2)/(2+xi^2)^2.
     """
+    _require_record("sp", sp, ShapeParams)
     # a hand-built ShapeParams skips the xi step: xi*xi underflowing gives
     # the xi -> 0 limit, and only xi**4, the prefactor's (2 + xi^2)**2,
     # overflowing is out of reach

@@ -34,7 +34,7 @@ from pathlib import Path
 # DEFAULT_CUT_ANGLE_DEG is defined in core and re-exported from here
 from .core import (DEFAULT_CUT_ANGLE_DEG, WalkOffSet, _check_fields,
                    _require_finite, _require_in, _require_numbers,
-                   _require_order, _require_pair)
+                   _require_order, _require_pair, _require_record)
 from .errors import DomainError, WavelengthRangeError
 
 # Width at which the phase-matching bisection stops.  Far above the float
@@ -146,7 +146,9 @@ def _sellmeier1(coeffs: tuple[float, ...], lam: float) -> float:
 
 
 def _check_range(model: IndexModel, lam: float) -> float:
-    # returns lam, read by core's number rule
+    # returns lam, read by core's number rule, once model is known to be
+    # an IndexModel: every index function reads its model here first
+    _require_record("model", model, IndexModel)
     lam = _require_finite("lam", lam)
     lo, hi = model.range_um
     if not lo <= lam <= hi:
@@ -266,6 +268,7 @@ def q_over_kbar(geometry: PhaseMatchGeometry, n_bar: float) -> float:
     sine of the internal angle, sin(asin(sin(ext)/n_bar)).  n_bar = 1
     is allowed as the vacuum (no-refraction) limit.
     """
+    _require_record("geometry", geometry, PhaseMatchGeometry)
     n_bar = _require_in("n_bar", n_bar, ">= 1")
     s = math.sin(geometry.external_cone_angle) / n_bar
     if abs(s) >= 1.0:
@@ -304,6 +307,7 @@ def group_delay_params(model: IndexModel,
     extraordinary ray at the cut angle.  Only the pump and pair
     wavelengths themselves must lie in the model's range.
     """
+    _require_record("geometry", geometry, PhaseMatchGeometry)
     lam_p = geometry.pump_wavelength
     lam_d = geometry.degenerate_wavelength
     theta = geometry.cut_angle
@@ -323,6 +327,7 @@ def build_walkoff_set(model: IndexModel,
     generated wave-vector uses the harmonic mean of the ordinary and
     angled extraordinary indices at the degenerate wavelength.
     """
+    _require_record("geometry", geometry, PhaseMatchGeometry)
     m_p = walk_off_tangent(model, geometry.pump_wavelength, geometry.cut_angle)
     m = walk_off_tangent(model, geometry.degenerate_wavelength,
                          geometry.cut_angle)

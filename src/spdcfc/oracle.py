@@ -59,7 +59,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (ExperimentConfig, WalkOffSet, _check_fields, _require_count,
-                   _require_finite, _require_in, _require_numbers)
+                   _require_finite, _require_in, _require_numbers,
+                   _require_record)
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -381,10 +382,12 @@ def pair_overlap_density(cfg: ExperimentConfig, tau: float,
     Real-valued for the Gaussian profiles used here; maximal at tau = 0
     and constant in tau when all drift rates vanish.
     """
+    _require_record("cfg", cfg, ExperimentConfig)
     tau = _require_finite("tau", tau)
     if not 0.0 <= tau <= cfg.crystal_length:
         raise DomainError(
             f"tau must lie in [0, {cfg.crystal_length}], got {tau}")
+    _require_record("spec", spec, QuadratureSpec)
     import numpy as np
 
     return float(_densities(_gaussians(cfg, spec.extent_factor),
@@ -415,6 +418,9 @@ def eta_numeric(cfg: ExperimentConfig,
     relative change is the error estimate.  Doubles once more if needed;
     failing that raises ConvergenceError carrying both values.
     """
+    # before _gaussians' cache hashes cfg
+    _require_record("cfg", cfg, ExperimentConfig)
+    _require_record("spec", spec, QuadratureSpec)
     etas = [_eta_on_grid(cfg, spec.n_tau, spec.n_trans,
                          spec.extent_factor)[0]]
     for scale in (2, 4):

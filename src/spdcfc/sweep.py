@@ -8,8 +8,8 @@ from dataclasses import dataclass
 # DEFAULT_MU_VALUES is defined in core and re-exported from here
 from .core import (DEFAULT_MU_VALUES, VARIABLES, AlphaBeta, ExperimentConfig,
                    WalkOffSet, _check_fields, _eta, _require_count,
-                   _require_in, _require_order, _require_pair, _xi_terms,
-                   compute_alpha_beta)
+                   _require_in, _require_order, _require_pair,
+                   _require_record, _xi_terms, compute_alpha_beta)
 from .errors import DomainError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -42,8 +42,7 @@ class SweepSpec:
         object.__setattr__(self, "l_grid", _validated_grid("l_grid", self.l_grid))
         object.__setattr__(self, "mu_values",
                            _validated_grid("mu_values", self.mu_values))
-        if not isinstance(self.fixed, ExperimentConfig):
-            raise DomainError("fixed must be an ExperimentConfig")
+        _require_record("fixed", self.fixed, ExperimentConfig)
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,7 @@ class OptResult:
         _require_variable(self.variable)
         object.__setattr__(self, "iterations",
                            _require_count("iterations", self.iterations, 0))
-        if not isinstance(self.boundary, bool):
-            raise DomainError(
-                f"boundary must be a bool, got {self.boundary!r}")
+        _require_record("boundary", self.boundary, bool)
 
 
 def _row_error(length: float, mu: float, exc: DomainError) -> DomainError:
@@ -134,6 +131,7 @@ def _row_error(length: float, mu: float, exc: DomainError) -> DomainError:
 
 def efficiency_curve(spec: SweepSpec) -> SweepResult:
     """Tabulate eta over the grid, crystal-length major, then mu."""
+    _require_record("spec", spec, SweepSpec)
     fixed = spec.fixed
     ab = compute_alpha_beta(fixed.walkoffs)
     rp, w = fixed.pump_waist, fixed.fiber_mode_radius
@@ -238,8 +236,7 @@ def maximize_eta(cfg: ExperimentConfig, variable: str,
     returned maximum is never below the best pre-scan point.
     """
     lo, hi = _require_pair("bounds", bounds, "0 < lo < hi")
-    if not isinstance(cfg, ExperimentConfig):
-        raise DomainError("cfg must be an ExperimentConfig")
+    _require_record("cfg", cfg, ExperimentConfig)
     _require_variable(variable)
     ab = compute_alpha_beta(cfg.walkoffs)
     length, rp = cfg.crystal_length, cfg.pump_waist

@@ -7,8 +7,9 @@ names less its modules, constants and error types, ``load_index_model``
 (file I/O) and the oracle's two computing names.  A number argument gets any value:
 floats from 5e-324 to the largest, +-0, +-inf and NaN, ints past the
 float range, text, bytes and None.  An argument typed as one of the
-package's types gets an instance of it, built from extreme values too.
-Each call must
+package's types gets an instance of it, built from extreme values too,
+or a non-record: None, a number or a record of another type.  Each call
+must
 
 - return, or raise a ``DomainError`` (subclasses included), and nothing
   else;
@@ -22,7 +23,9 @@ infinite must be refused as ``<name> must be finite, got <value>``.
 ``<name>`` is the argument's name; an item of a list is named as the
 list, or as ``ordinary[k]`` in an index model.  The exceptions are the
 limits: ``erf`` takes +-inf, and erf(sigma)/sigma and its reciprocal take
-+inf.
++inf.  A call whose arguments are in range but for a record argument or
+field that is not a record must be refused as
+``<name> must be a <Type>, got <value>`` (``an`` before a vowel).
 
 The rows handed to ``SweepResult`` are built without ``SweepRow``'s own
 checks, as ``efficiency_curve`` builds them, so that its check of each
@@ -52,7 +55,7 @@ from spdcfc import (AlphaBeta, EfficiencyResult,
 from spdcfc.core import VARIABLES
 from spdcfc.errors import DomainError
 
-from conftest import bare_row
+from conftest import REFERENCE_WALKOFFS, bare_row, reference_config
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   suppress_health_check=list(HealthCheck))
@@ -124,6 +127,29 @@ ROWS = st.lists(st.builds(bare_row, FINITE, FINITE, FINITE, anything(UNIT)),
 COUNTS = st.one_of(st.integers(-1, 300), st.sampled_from([2 ** 64, True]),
                    SPECIAL_FLOATS, NOT_NUMBERS)
 
+# one record of each type, handed where another type is asked for; with
+# the article each type's name takes in a refusal
+RECORDS = {
+    WalkOffSet: (REFERENCE_WALKOFFS, "a WalkOffSet"),
+    AlphaBeta: (compute_alpha_beta(REFERENCE_WALKOFFS), "an AlphaBeta"),
+    ExperimentConfig: (reference_config(), "an ExperimentConfig"),
+    ShapeParams: (shape_params(reference_config()), "a ShapeParams"),
+    SweepSpec: (SweepSpec((3000.0,), (49.0,), reference_config()),
+                "a SweepSpec"),
+    IndexModel: (BBO, "an IndexModel"),
+    PhaseMatchGeometry: (PhaseMatchGeometry(0.415, 0.75, 0.06),
+                         "a PhaseMatchGeometry"),
+    QuadratureSpec: (QuadratureSpec(), "a QuadratureSpec"),
+    bool: (True, "a bool"),
+}
+
+
+def not_records(kind: type) -> st.SearchStrategy:
+    # None, a number, or a record of another type than kind
+    return st.sampled_from([None, 1.0, 0] + [
+        record for record, _ in RECORDS.values()
+        if not isinstance(record, kind)])
+
 
 # ---------------------------------------------------------------------------
 # arguments
@@ -148,6 +174,15 @@ class Items:
 
 
 @dataclasses.dataclass(frozen=True)
+class Rec:
+    """A record argument or field of type ``kind``, named ``shown`` in
+    messages; ``good`` draws a record of that type."""
+    shown: str
+    kind: type
+    good: st.SearchStrategy
+
+
+@dataclasses.dataclass(frozen=True)
 class Given:
     """An argument that is not a number: ``strategy`` draws it, and
     ``good``, if set, draws it where the other arguments must pass."""
@@ -168,44 +203,51 @@ def fuzzed(spec) -> st.SearchStrategy:
         # a list of anything, or something that is not the list asked for
         return st.one_of(items(spec, anything(spec.good)), NOT_NUMBERS,
                          st.lists(anything(spec.good), max_size=5))
+    if isinstance(spec, Rec):
+        return st.one_of(spec.good, not_records(spec.kind))
     return spec.strategy
 
 
 def in_range(spec) -> st.SearchStrategy:
-    if isinstance(spec, Num):
+    if isinstance(spec, (Num, Rec)):
         return spec.good
     if isinstance(spec, Items):
-        if spec.size is None:  # a grid: strictly increasing
-            return st.lists(spec.good, min_size=1, max_size=4,
-                            unique=True).map(sorted)
+        if spec.size in (None, 2):  # a grid or a pair: strictly increasing
+            return st.lists(spec.good, min_size=spec.size or 1,
+                            max_size=spec.size or 4, unique=True).map(sorted)
         return items(spec, spec.good)
     return spec.strategy if spec.good is None else spec.good
 
+
+MODEL = Rec("model", IndexModel, MODELS)
+GEOMETRY = Rec("geometry", PhaseMatchGeometry, GEOMETRIES)
 
 # each public callable and its arguments, in order
 CALLS = {
     "AlphaBeta": (AlphaBeta, [Num(n, NON_NEGATIVE)
                               for n in ("alpha1", "alpha2", "beta")]),
-    "EfficiencyResult": (EfficiencyResult, [Num("eta", UNIT), Given(SHAPES)]),
+    "EfficiencyResult": (EfficiencyResult, [
+        Num("eta", UNIT), Rec("shape", ShapeParams, SHAPES)]),
     "ExperimentConfig": (ExperimentConfig, [
         Num(n, POSITIVE) for n in ("crystal_length", "pump_waist",
                                    "fiber_mode_radius",
                                    "inverse_magnification")]
-        + [Given(WALKOFFS)]),
+        + [Rec("walkoffs", WalkOffSet, WALKOFFS)]),
     "ShapeParams": (ShapeParams, [Num("xi", POSITIVE)]
                     + [Num(n, NON_NEGATIVE)
                        for n in ("sigma_c", "sigma1", "sigma2")]
-                    + [Given(ALPHA_BETAS)]),
+                    + [Rec("alpha_beta", AlphaBeta, ALPHA_BETAS)]),
     "WalkOffSet": (WalkOffSet, [Num(n, WALKOFF)
                                 for n in ("m_p", "m", "q_over_k")]),
-    "compute_alpha_beta": (compute_alpha_beta, [Given(WALKOFFS)]),
+    "compute_alpha_beta": (compute_alpha_beta, [
+        Rec("walkoffs", WalkOffSet, WALKOFFS)]),
     "effective_to_raw": (effective_to_raw, [
         Num(n, UNIT) for n in ("eta_fc", "eta_det", "t_filter")]),
     "raw_to_effective": (raw_to_effective, [
         Num(n, UNIT) for n in ("eta_raw", "eta_det", "t_filter")]),
-    "efficiency": (efficiency, [Given(CONFIGS)]),
-    "shape_params": (shape_params, [Given(CONFIGS)]),
-    "eta_closed_form": (eta_closed_form, [Given(SHAPES)]),
+    "efficiency": (efficiency, [Rec("cfg", ExperimentConfig, CONFIGS)]),
+    "shape_params": (shape_params, [Rec("cfg", ExperimentConfig, CONFIGS)]),
+    "eta_closed_form": (eta_closed_form, [Rec("sp", ShapeParams, SHAPES)]),
     "erf": (erf, [Num("x", FINITE, limits=(math.inf, -math.inf))]),
     "erf_over_sigma": (erf_over_sigma, [
         Num("sigma", NON_NEGATIVE, limits=(math.inf,))]),
@@ -227,23 +269,20 @@ CALLS = {
                                 exclude_max=True)),
         Num("external_cone_angle", floats(0.0, HALF_PI, exclude_max=True))]),
     "TemporalParams": (TemporalParams, [Num("d", FINITE), Num("lam", FINITE)]),
-    "build_walkoff_set": (build_walkoff_set, [Given(MODELS),
-                                              Given(GEOMETRIES)]),
-    "group_delay_params": (group_delay_params, [Given(MODELS),
-                                                Given(GEOMETRIES)]),
+    "build_walkoff_set": (build_walkoff_set, [MODEL, GEOMETRY]),
+    "group_delay_params": (group_delay_params, [MODEL, GEOMETRY]),
     "bundled_bbo": (bundled_bbo, []),
-    "ordinary_index": (ordinary_index, [Given(MODELS), Num("lam", IN_RANGE)]),
+    "ordinary_index": (ordinary_index, [MODEL, Num("lam", IN_RANGE)]),
     "principal_extraordinary_index": (principal_extraordinary_index, [
-        Given(MODELS), Num("lam", IN_RANGE)]),
+        MODEL, Num("lam", IN_RANGE)]),
     "extraordinary_index": (extraordinary_index, [
-        Given(MODELS), Num("lam", IN_RANGE), Num("theta", FINITE)]),
+        MODEL, Num("lam", IN_RANGE), Num("theta", FINITE)]),
     "walk_off_tangent": (walk_off_tangent, [
-        Given(MODELS), Num("lam", IN_RANGE), Num("theta", FINITE)]),
+        MODEL, Num("lam", IN_RANGE), Num("theta", FINITE)]),
     "phase_match_angle": (phase_match_angle, [
-        Given(MODELS), Num("pump_wavelength", floats(0.205, 0.53)),
+        MODEL, Num("pump_wavelength", floats(0.205, 0.53)),
         Items("bracket_deg", floats(1.0, 89.0), 2)]),
-    "q_over_kbar": (q_over_kbar, [Given(GEOMETRIES),
-                                  Num("n_bar", floats(1.0, 3.0))]),
+    "q_over_kbar": (q_over_kbar, [GEOMETRY, Num("n_bar", floats(1.0, 3.0))]),
     "QuadratureSpec": (QuadratureSpec, [
         Given(COUNTS, st.integers(8, 64)), Given(COUNTS, st.integers(16, 96)),
         Num("extent_factor", floats(4.0, 40.0)),
@@ -253,20 +292,22 @@ CALLS = {
         Num("eta_numeric", UNIT), Num("est_rel_err", NON_NEGATIVE),
         Items("pieces[{k}]", POSITIVE, 3)]),
     "SweepSpec": (SweepSpec, [Items("l_grid", POSITIVE),
-                              Items("mu_values", POSITIVE), Given(CONFIGS)]),
+                              Items("mu_values", POSITIVE),
+                              Rec("fixed", ExperimentConfig, CONFIGS)]),
     "SweepRow": (SweepRow, [Num(n, POSITIVE) for n in ("length", "mu", "xi")]
                  + [Num("eta", UNIT)]),
     "SweepResult": (SweepResult, [Given(ROWS)]),
     "OptResult": (OptResult, [
         Given(st.sampled_from(VARIABLES)), Num("argmax", POSITIVE),
         Num("eta_max", UNIT), Items("bracket", POSITIVE, 2),
-        Given(st.integers(0, 200)), Given(st.booleans())]),
-    "efficiency_curve": (efficiency_curve, [Given(SPECS)]),
+        Given(st.integers(0, 200)), Rec("boundary", bool, st.booleans())]),
+    "efficiency_curve": (efficiency_curve, [Rec("spec", SweepSpec, SPECS)]),
     "maximize_eta": (maximize_eta, [
-        Given(CONFIGS), Given(st.sampled_from(VARIABLES + ("L",))),
+        Rec("cfg", ExperimentConfig, CONFIGS), Given(st.sampled_from(VARIABLES + ("L",))),
         Items("bounds", POSITIVE, 2)]),
     "ceiling_scan": (ceiling_scan, [Num("pump_waist", POSITIVE),
-                                    Given(WALKOFFS), Items("l_grid", POSITIVE)]),
+                                    Rec("walkoffs", WalkOffSet, WALKOFFS),
+                                    Items("l_grid", POSITIVE)]),
 }
 
 
@@ -369,11 +410,33 @@ def test_a_non_finite_number_is_refused_by_the_number_rule(name):
     run()
 
 
+@pytest.mark.parametrize("name", [n for n, (_, params) in CALLS.items()
+                                  if any(isinstance(p, Rec) for p in params)])
+def test_a_non_record_is_refused_by_the_record_rule(name):
+    func, params = CALLS[name]
+
+    @settings(SEEDED, max_examples=12)
+    @given(st.tuples(*map(in_range, params)), st.data())
+    def run(args, data):
+        args = list(args)
+        i = data.draw(st.sampled_from(
+            [i for i, p in enumerate(params) if isinstance(p, Rec)]))
+        bad = args[i] = data.draw(not_records(params[i].kind))
+        result = outcome(func, args)
+        assert isinstance(result, DomainError), result
+        assert str(result) == (f"{params[i].shown} must be "
+                               f"{RECORDS[params[i].kind][1]}, got {bad!r:.60}")
+
+    run()
+
+
 def finite(spec) -> st.SearchStrategy:
     # an argument whose numbers are finite: in range, or any finite float
     # with the extremes among them
     if isinstance(spec, Given):
         return spec.strategy
+    if isinstance(spec, Rec):
+        return spec.good
     each = st.one_of(SPECIAL_FLOATS.filter(math.isfinite), spec.good, FINITE)
     return each if isinstance(spec, Num) else items(spec, each)
 

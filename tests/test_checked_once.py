@@ -109,7 +109,7 @@ def test_refine_starts_from_the_first_of_tied_maxima(tied):
 @pytest.mark.parametrize("variable", ["mu", "rp", "xi"])
 def test_maximize_eta_refuses_a_template_that_is_not_a_config(cfg, variable):
     assert refusal(lambda: maximize_eta(cfg, variable, (1.0, 2.0))) == (
-        "cfg must be an ExperimentConfig")
+        f"cfg must be an ExperimentConfig, got {cfg!r:.60}")
 
 
 @pytest.mark.parametrize("cfg, bounds, message", [

@@ -4,9 +4,10 @@ that names the argument, not in whatever Python raised on the way.
 A pair of bounds that is not a pair, a grid that is not a sequence and a
 birth depth that is not a number each used to end in a raw ValueError or
 TypeError.  The messages the library already gave stay as they were.
-A record argument (a config, a spec, an index model, a geometry) is not
-checked yet: None in its place ends in a raw AttributeError, which a
-strict xfail records.
+A record argument or field (a config, a spec, an index model, a
+geometry, ...) that is None or a record of another type is refused as
+``<name> must be a <Type>, got <value>``, where it used to end in a raw
+AttributeError or TypeError, or in a run on a class's defaults.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import math
 
 import pytest
 
-from spdcfc import (PhaseMatchGeometry, SweepSpec, build_walkoff_set,
+from spdcfc import (EfficiencyResult, PhaseMatchGeometry, QuadratureSpec,
+                    ShapeParams, SweepSpec, build_walkoff_set,
                     bundled_bbo, ceiling_scan, compute_alpha_beta,
                     efficiency, efficiency_curve, eta_closed_form,
                     eta_numeric, extraordinary_index, group_delay_params,
@@ -107,7 +109,8 @@ def test_pair_overlap_density_reads_an_int_tau_as_a_float():
         CFG, 1500.0)
 
 
-# each record argument of a public function, None in its place
+# each record argument of a public function and field of a record, None
+# (or a record of another type) in its place
 RECORD_ARGUMENTS = {
     "efficiency": (efficiency, (None,), "cfg"),
     "shape_params": (shape_params, (None,), "cfg"),
@@ -135,15 +138,29 @@ RECORD_ARGUMENTS = {
     "walk_off_tangent": (walk_off_tangent, (None, 0.83, 0.75), "model"),
     "q_over_kbar": (q_over_kbar, (None, 1.66), "geometry"),
     "phase_match_angle": (phase_match_angle, (None, 0.415), "model"),
+    "ShapeParams-alpha_beta": (ShapeParams, (1.0, 0.5, 0.5, 0.5, None),
+                               "alpha_beta"),
+    "EfficiencyResult-shape": (EfficiencyResult, (0.5, None), "shape"),
+    "efficiency-walkoffs": (efficiency, (REFERENCE_WALKOFFS,), "cfg"),
 }
 
 
-@pytest.mark.xfail(raises=AttributeError, strict=True,
-                   reason="record arguments are read without a check, so "
-                          "None ends in a raw AttributeError")
 @pytest.mark.parametrize("call, args, name", RECORD_ARGUMENTS.values(),
                          ids=RECORD_ARGUMENTS)
 def test_none_for_a_record_is_refused_by_name(call, args, name):
     args = [bundled_bbo() if a == "bbo" else a for a in args]
-    with pytest.raises(DomainError, match=f"^{name} "):
+    with pytest.raises(DomainError, match=f"^{name} must be an? [A-Z]"):
         call(*args)
+
+
+def test_eta_numeric_refuses_a_config_that_is_not_a_record():
+    # a list used to reach _gaussians' cache key, a raw TypeError
+    assert refusal(lambda: eta_numeric([1.0])) == (
+        "cfg must be an ExperimentConfig, got [1.0]")
+
+
+def test_eta_numeric_refuses_the_spec_class_for_an_instance():
+    # the class used to run silently on its defaults
+    assert refusal(lambda: eta_numeric(CFG, QuadratureSpec)) == (
+        "spec must be a QuadratureSpec, got "
+        "<class 'spdcfc.oracle.QuadratureSpec'>")

@@ -344,6 +344,7 @@ def test_maximize_eta_still_checks_its_result(monkeypatch):
 
 @pytest.mark.parametrize("fixed", [None, 3000.0, REFERENCE_WALKOFFS])
 def test_spec_rejects_fixed_that_is_not_a_config(fixed):
-    with pytest.raises(DomainError,
-                       match="^fixed must be an ExperimentConfig$"):
+    with pytest.raises(DomainError) as exc:
         SweepSpec(l_grid=(1000.0,), mu_values=(49.0,), fixed=fixed)
+    assert str(exc.value) == (
+        f"fixed must be an ExperimentConfig, got {fixed!r:.60}")

@@ -22,8 +22,9 @@ form), whose exit code, stdout and stderr are recorded with the
 temporary directory's path replaced by ``<tmp>``, and counts given as
 numpy integers, bools and integral floats beside ordered pairs at the
 edges of their orders, the oracle over the wide-domain probe of
-ROADMAP item 3, and the refusals of grids, result records, Sellmeier
-forms and the oracle's range checks that no draw reaches.  The list
+ROADMAP item 3, the refusals of grids, result records, Sellmeier forms
+and the oracle's range checks that no draw reaches, and None or a
+record of another type in each record argument and field.  The list
 depends only on the seed, so a dump of one checkout under two
 environments, or of two checkouts, can be compared entry by entry.
 
@@ -885,6 +886,63 @@ def refusal_calls(api, tmp: str) -> list[tuple[str, object]]:
     return calls
 
 
+def record_calls(api) -> list[tuple[str, object]]:
+    # None and a record of another type in each record argument of a
+    # public function and each record field, refused by core's record
+    # rule.  Unseeded, and run after refusal_calls, so every call above
+    # keeps its outcome
+    walkoffs = api.WalkOffSet(*REF_WALKOFFS)
+    cfg = api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0, walkoffs)
+    model = api.bundled_bbo()
+    geometry = api.PhaseMatchGeometry(0.415, 0.75, 0.06)
+    sites = (  # (site, call with the record in place, a record of another type)
+        ("ExperimentConfig.walkoffs",
+         lambda r: api.ExperimentConfig(3000.0, 53.0, 1.48, 49.0, r), cfg),
+        ("ShapeParams.alpha_beta",
+         lambda r: api.ShapeParams(1.37, 1.0, 0.5, 0.5, r), walkoffs),
+        ("EfficiencyResult.shape", lambda r: api.EfficiencyResult(0.5, r), cfg),
+        ("SweepSpec.fixed", lambda r: api.SweepSpec((3e3,), (49.0,), r),
+         walkoffs),
+        ("OptResult.boundary",
+         lambda r: api.OptResult("mu", 1.0, 0.5, (0.5, 2.0), 20, r), 1),
+        ("compute_alpha_beta", api.compute_alpha_beta, cfg),
+        ("efficiency", api.efficiency, walkoffs),
+        ("shape_params", api.shape_params, walkoffs),
+        ("eta_closed_form", api.eta_closed_form, cfg),
+        ("eta_numeric cfg", api.eta_numeric, walkoffs),
+        ("eta_numeric spec", lambda r: api.eta_numeric(cfg, r), cfg),
+        ("pair_overlap_density cfg",
+         lambda r: api.pair_overlap_density(r, 0.0), walkoffs),
+        ("pair_overlap_density spec",
+         lambda r: api.pair_overlap_density(cfg, 0.0, r), cfg),
+        ("efficiency_curve", api.efficiency_curve, cfg),
+        ("maximize_eta", lambda r: api.maximize_eta(r, "xi", (0.1, 10.0)),
+         walkoffs),
+        ("ceiling_scan", lambda r: api.ceiling_scan(53.0, r, (3e3,)), cfg),
+        ("build_walkoff_set model",
+         lambda r: api.build_walkoff_set(r, geometry), geometry),
+        ("build_walkoff_set geometry",
+         lambda r: api.build_walkoff_set(model, r), model),
+        ("group_delay_params model",
+         lambda r: api.group_delay_params(r, geometry), geometry),
+        ("group_delay_params geometry",
+         lambda r: api.group_delay_params(model, r), model),
+        ("ordinary_index", lambda r: api.ordinary_index(r, 0.83), geometry),
+        ("principal_extraordinary_index",
+         lambda r: api.principal_extraordinary_index(r, 0.83), geometry),
+        ("extraordinary_index",
+         lambda r: api.extraordinary_index(r, 0.83, 0.75), geometry),
+        ("walk_off_tangent",
+         lambda r: api.walk_off_tangent(r, 0.83, 0.75), geometry),
+        ("phase_match_angle", lambda r: api.phase_match_angle(r, 0.415),
+         geometry),
+        ("q_over_kbar", lambda r: api.q_over_kbar(r, 1.66), model),
+    )
+    return [(f"{site}({type(record).__name__})",
+             lambda f=fn, r=record: f(r))
+            for site, fn, wrong in sites for record in (None, wrong)]
+
+
 def dump(checkout: Path, out: Path) -> None:
     api = load_spdcfc(checkout)
     rng = random.Random(SEED)
@@ -895,7 +953,8 @@ def dump(checkout: Path, out: Path) -> None:
                  + xi_range_calls(api) + sellmeier_overflow_calls(api)
                  + number_rule_calls(api) + design_study_calls(api)
                  + cli_calls(tmp) + count_and_pair_calls(api)
-                 + oracle_probe_calls(api) + refusal_calls(api, tmp))
+                 + oracle_probe_calls(api) + refusal_calls(api, tmp)
+                 + record_calls(api))
         record = [[name, outcome(call)] for name, call in calls]
     out.write_text(json.dumps({"outcomes": record}, indent=0) + "\n",
                    encoding="utf-8")
