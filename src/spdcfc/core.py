@@ -32,10 +32,12 @@ from the mantissas and exponents with the same two roundings, so it
 has the bits it has on w, mu and r_p scaled by a power of two into
 that range.  The length step takes the xi step's terms and L/r_p,
 forms the three sigmas and turns them into eta.  Each step checks its
-own inputs and results.  The public functions wrap them in the
-validated dataclasses; the sweeps run the xi step once per distinct xi
-and the length step once per point, on inputs validated once, so both
-give the same bits.
+own inputs and results.  ``shape_params`` and ``eta_closed_form`` wrap
+them in the validated dataclasses.  ``efficiency`` runs the two steps as
+the sweeps do, and builds its records from what they return without
+checking those values again; the sweeps run the xi step once per
+distinct xi and the length step once per point, on inputs validated
+once, so all of them give the same bits.
 
 The length step runs once per point of every sweep, optimization and
 ceiling scan, and there a Python call or a test costs more than its
@@ -359,6 +361,15 @@ class EfficiencyResult:
 # parameter algebra
 # ---------------------------------------------------------------------------
 
+def _record(kind: type, **fields):
+    # a frozen record of values the library has just computed and checked,
+    # without its __init__, which would check them again and pay one
+    # object.__setattr__ per field
+    record = object.__new__(kind)
+    record.__dict__.update(fields)
+    return record
+
+
 def compute_alpha_beta(walkoffs: WalkOffSet) -> AlphaBeta:
     """Combine walk-off magnitudes into the alpha/beta crystal numbers.
 
@@ -372,11 +383,10 @@ def compute_alpha_beta(walkoffs: WalkOffSet) -> AlphaBeta:
     """
     _require_record("walkoffs", walkoffs, WalkOffSet)
     q2 = walkoffs.q_over_k ** 2
-    return AlphaBeta(
-        alpha1=walkoffs.m_p ** 2 + q2,
-        alpha2=(walkoffs.m_p - walkoffs.m) ** 2 + q2,
-        beta=walkoffs.m ** 2 + 4.0 * q2,
-    )
+    # from three numbers in [0, 1), each is a finite float >= 0
+    return _record(AlphaBeta, alpha1=walkoffs.m_p ** 2 + q2,
+                   alpha2=(walkoffs.m_p - walkoffs.m) ** 2 + q2,
+                   beta=walkoffs.m ** 2 + 4.0 * q2)
 
 
 def mode_field_radius(mfd: float) -> float:
@@ -525,9 +535,19 @@ def eta_closed_form(sp: ShapeParams) -> EfficiencyResult:
 
 
 def efficiency(cfg: ExperimentConfig) -> EfficiencyResult:
-    """Closed-form coupling efficiency of a configuration: shape_params
-    followed by eta_closed_form."""
-    return eta_closed_form(shape_params(cfg))
+    """Closed-form coupling efficiency of a configuration: what
+    shape_params followed by eta_closed_form gives, bit for bit, refusals
+    included."""
+    _require_record("cfg", cfg, ExperimentConfig)
+    ab = compute_alpha_beta(cfg.walkoffs)
+    xi, _, kc, k1, k2 = terms = _xi_terms(
+        cfg.fiber_mode_radius, cfg.inverse_magnification, cfg.pump_waist, ab)
+    ratio = cfg.crystal_length / cfg.pump_waist
+    # where a sigma is not finite the length step fails and tests the
+    # sigmas first, as shape_params does: past it each is finite and >= 0
+    return _record(EfficiencyResult, eta=_eta(terms, ratio), shape=_record(
+        ShapeParams, xi=xi, sigma_c=ratio * kc, sigma1=ratio * k1,
+        sigma2=ratio * k2, alpha_beta=ab))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ numpy/BLAS build, and the tests check that they do not depend on the
 number of BLAS threads.  Lanes far off design, whose exponent falls
 below ln(DBL_MIN) ~ -708.4, take numpy's slower per-lane exp; a
 transverse grid centred on each depth row would leave none.
+The arrays a level reads from the per-config coefficients (the
+unshifted Gaussians' exponents, each block's coefficient and drift
+rate) are formed with them and held read-only.  A level forms each
+product in place, in arrays it made, and sums its three weighted
+integrands in one reduction.
 
 numpy is imported inside the functions that integrate, so importing
 this module (and the package) does not load it; only a quadrature does.
@@ -58,9 +63,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import (ExperimentConfig, WalkOffSet, _check_fields, _require_count,
-                   _require_finite, _require_in, _require_numbers,
-                   _require_record)
+from .core import (ExperimentConfig, WalkOffSet, _check_fields, _record,
+                   _require_count, _require_finite, _require_in,
+                   _require_numbers, _require_record)
 from .errors import ConvergenceError, DomainError
 
 # Bounds on a QuadratureSpec: the last refinement builds a 4 n_tau point
@@ -219,8 +224,9 @@ def _shifted_differences(taus: np.ndarray, x: np.ndarray,
 
     left = np.empty((*taus.shape, 2))
     left[..., 0] = 1.0
-    np.multiply(np.array(rates, dtype=float)[:, None], taus,
-                out=left[..., 1])
+    # one rate per row of taus: as a tuple or a 1-D array, it broadcasts
+    # along the last axis of taus' transpose
+    np.multiply(taus.T, rates, out=left[..., 1].T)
     right = np.empty((2, x.size))
     right[0] = x
     right[1] = -1.0
@@ -231,7 +237,9 @@ def _gauss_sums(taus: np.ndarray, x: np.ndarray, coefs: tuple[float, ...],
                 rates: tuple[float, ...], vecs: np.ndarray) -> np.ndarray:
     """Row sums of vec(x) * exp(-coef * (x - rate * tau)**2), one per tau,
     for each block (coef, rate, vec) and its row of taus; taus holds one
-    row of n depths per block, and the result has its shape.
+    row of n depths per block, and the result has its shape.  coefs and
+    rates hold one number per block: a tuple, or the read-only arrays
+    of _gaussians.
 
     The oracle's one 2-D kernel.  Blocks stack into one array per pass,
     as many as fit _PASS_ELEMENTS (at least one), and each step runs
@@ -264,11 +272,13 @@ def _gaussians(cfg: ExperimentConfig, extent_factor: float) -> tuple:
     """cfg's Gaussians, grid half-width and depth ranges, shared by its
     levels, once the quadrature is known to represent them.
 
-    Returns (a, b, norm_sq, coef, rate, decay, arm1, arm2, half_width,
+    Returns (a, b, norm_sq, decay, unshifted, coefs, rates, half_width,
     half_depths): the fiber mode's and the pump's coefficients and the
-    mode's norm squared, the pair block's coefficient, drift rate and
-    decay, the arms' drift rates, the transverse grid's half-width, and
-    half of each _depth_ranges entry, as a read-only column.  Widths,
+    mode's norm squared; the pair block's decay; the exponent
+    coefficients of the unshifted Gaussians _densities forms, a column;
+    the kernel's three block coefficients and drift rates (pair, arm 1,
+    arm 2); the transverse grid's half-width; and half of each
+    _depth_ranges entry, a column.  The arrays are read-only.  Widths,
     grid reach and crystal length are refused here, in that order,
     before any array is built.  The last (cfg, extent_factor)'s are
     kept, so an eta_numeric call forms them once for all its levels.
@@ -311,10 +321,12 @@ def _gaussians(cfg: ExperimentConfig, extent_factor: float) -> tuple:
     if decay and length * length == math.inf:
         raise DomainError(f"crystal length L = {length} um is outside the "
                           "range the quadrature can represent")
-    half_depths = 0.5 * np.array(_depth_ranges(cfg))[:, None]
-    half_depths.flags.writeable = False
-    return (a, b, 1.0 / (math.sqrt(math.pi) * radius), coef, rate, decay,
-            arm1, arm2, half_width, half_depths)
+    table = np.array((-a, -2.0 * a, -2.0 * a, -coef, -2.0 * b, coef,
+                      2.0 * b, 2.0 * b, rate, arm1, arm2, *_depth_ranges(cfg)))
+    table[11:] *= 0.5
+    table.flags.writeable = False
+    return (a, b, 1.0 / (math.sqrt(math.pi) * radius), decay, table[:5, None],
+            table[5:8], table[8:11], half_width, table[11:, None])
 
 
 def _depth_ranges(cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -352,27 +364,32 @@ def _densities(gaussians: tuple, taus: np.ndarray,
     n birth depths per integral: pair, arm 1, arm 2.  Returns the pair
     overlap density at its depths (idle axis included); the singles' row
     sums of arm 1 and arm 2, shape (2, n); and the singles' idle axis,
-    which multiplies both arms' rows.
+    which multiplies both arms' rows.  The first two are views of the
+    kernel's result, which they may overwrite; the products are formed
+    in place, in arrays made here.
     """
     import numpy as np
 
-    a, b, norm_sq, coef, rate, decay, arm1, arm2, half_width, _ = gaussians
+    _, _, norm_sq, decay, unshifted, coefs, rates, half_width, _ = gaussians
     x, tw = _transverse_grid(half_width, n_trans)
-    # the unshifted Gaussians: the mode, the pair block's weight, and
-    # mode^2 twice, one weight per arm block (each normalized and with
-    # the trapezoid weights); then the pair's idle axis and pump^2
-    flat = np.exp(np.multiply.outer(
-        (-a, -2.0 * a, -2.0 * a, -coef, -2.0 * b), x * x))
-    vecs = flat[:3] * norm_sq * tw
-    pair_idle, singles_idle = (vecs[:2] * flat[3:]).sum(axis=1).tolist()
-    sums = _gauss_sums(taus, x, (coef, 2.0 * b, 2.0 * b),
-                       (rate, arm1, arm2), vecs)
+    # the unshifted Gaussians, in the rows of unshifted: the mode, the
+    # pair block's weight, and mode^2 twice, one weight per arm block
+    # (each normalized and with the trapezoid weights); then the pair's
+    # idle axis and pump^2, each times its weight
+    flat = unshifted * (x * x)
+    np.exp(flat, out=flat)
+    vecs = flat[:3]
+    vecs *= norm_sq
+    vecs *= tw
+    flat[3:] *= vecs[:2]
+    pair_idle, singles_idle = flat[3:].sum(axis=1).tolist()
+    sums = _gauss_sums(taus, x, coefs, rates, vecs)
+    pair = sums[0]
     # a zero decay's factor is exactly 1, but NaN once tau^2 overflows
     if decay:
-        pair = np.exp(-decay * (taus[0] * taus[0])) * sums[0]
-    else:
-        pair = sums[0]
-    return pair * pair_idle, sums[1:], singles_idle
+        pair *= np.exp(-decay * (taus[0] * taus[0]))
+    pair *= pair_idle
+    return pair, sums[1:], singles_idle
 
 
 def pair_overlap_density(cfg: ExperimentConfig, tau: float,
@@ -403,10 +420,15 @@ def _eta_on_grid(cfg: ExperimentConfig, n_tau: int, n_trans: int,
     nodes, gl_weights = _gauss_legendre(n_tau)
     gaussians = _gaussians(cfg, extent_factor)
     taus = gaussians[-1] * (nodes + 1.0)
-    tau_w = gaussians[-1] * gl_weights
+    # the integrands, weighted in place: the pair density squared, and
+    # each arm's row sums times the singles' idle axis
+    terms = gaussians[-1] * gl_weights
     pair, singles, idle = _densities(gaussians, taus, n_trans)
-    p12 = float((tau_w[0] * pair ** 2).sum())
-    p1, p2 = (tau_w[1:] * singles * idle).sum(axis=1).tolist()
+    pair *= pair
+    terms[0] *= pair
+    terms[1:] *= singles
+    terms[1:] *= idle
+    p12, p1, p2 = terms.sum(axis=1).tolist()
     return p12 / math.sqrt(p1 * p2), p12, p1, p2
 
 
@@ -429,8 +451,15 @@ def eta_numeric(cfg: ExperimentConfig,
                                         spec.extent_factor)
         est = abs(eta - etas[-1]) / abs(eta)
         if est <= spec.target_rel_err:
-            return OracleResult(eta_numeric=eta, est_rel_err=est,
-                                pieces=(p12, p1, p2))
+            # OracleResult's tests on the floats a level returns (est, in
+            # [0, target_rel_err], passes its own): where one fails, the
+            # checked constructor refuses them in its own words
+            pieces = (p12, p1, p2)
+            if (0.0 < eta <= 1.0 + est + 1e-9
+                    and all(0.0 < p < math.inf for p in pieces)):
+                return _record(OracleResult, eta_numeric=eta,
+                               est_rel_err=est, pieces=pieces)
+            return OracleResult(eta, est, pieces)
         etas.append(eta)
     raise ConvergenceError(
         f"oracle did not converge to {spec.target_rel_err:g} after two "
